@@ -1,102 +1,23 @@
 //! The benchmark's own load generator: one thread, closed- and
-//! open-loop send loops over blocking and polled sockets.
+//! open-loop send loops over `nfm_net::NetClient` connections.
 
 use nfm_core::ReuseStats;
-use nfm_net::{FrameAssembler, ServerFrame, WireAdmin, WireRequest};
+use nfm_net::{NetClient, NetError, ServerFrame, WireRequest};
 use nfm_serve::CompletionStatus;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// One client connection.
-pub struct Conn {
-    stream: TcpStream,
-    assembler: FrameAssembler,
-    scratch: Vec<u8>,
-    chunk: Vec<u8>,
+/// A client failure as the run's error.
+pub fn net_error(what: &'static str) -> impl Fn(NetError) -> String {
+    move |e| format!("{what}: {e}")
 }
 
-fn io(what: &str, e: impl std::fmt::Display) -> String {
-    format!("{what}: {e}")
-}
-
-impl Conn {
-    /// Connects with Nagle off.
-    pub fn connect(addr: SocketAddr) -> Result<Conn, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| io("connect", e))?;
-        stream.set_nodelay(true).map_err(|e| io("nodelay", e))?;
-        Ok(Conn {
-            stream,
-            assembler: FrameAssembler::default(),
-            scratch: Vec::new(),
-            chunk: vec![0; 64 * 1024],
-        })
-    }
-
-    /// Writes one request frame.
-    pub fn send(&mut self, request: &WireRequest) -> Result<(), String> {
-        self.scratch.clear();
-        request.encode(&mut self.scratch);
-        self.write_scratch()
-    }
-
-    /// Writes one admin frame.
-    pub fn send_admin(&mut self, admin: &WireAdmin) -> Result<(), String> {
-        self.scratch.clear();
-        admin.encode(&mut self.scratch);
-        self.write_scratch()
-    }
-
-    fn write_scratch(&mut self) -> Result<(), String> {
-        self.stream
-            .set_nonblocking(false)
-            .map_err(|e| io("socket mode", e))?;
-        self.stream
-            .write_all(&self.scratch)
-            .map_err(|e| io("send", e))
-    }
-
-    /// The next server frame, blocking until it arrives.
-    pub fn recv(&mut self) -> Result<ServerFrame, String> {
-        self.stream
-            .set_nonblocking(false)
-            .map_err(|e| io("socket mode", e))?;
-        loop {
-            if let Some(payload) = self.assembler.next_frame().map_err(|e| io("frame", e))? {
-                return ServerFrame::decode(&payload).map_err(|e| io("decode", e));
-            }
-            match self.stream.read(&mut self.chunk) {
-                Ok(0) => return Err("server closed the connection".into()),
-                Ok(n) => self.assembler.push(&self.chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(io("recv", e)),
-            }
-        }
-    }
-
-    /// A frame that has already arrived, without waiting.
-    pub fn poll(&mut self) -> Result<Option<ServerFrame>, String> {
-        loop {
-            if let Some(payload) = self.assembler.next_frame().map_err(|e| io("frame", e))? {
-                return ServerFrame::decode(&payload)
-                    .map(Some)
-                    .map_err(|e| io("decode", e));
-            }
-            self.stream
-                .set_nonblocking(true)
-                .map_err(|e| io("socket mode", e))?;
-            match self.stream.read(&mut self.chunk) {
-                Ok(0) => return Err("server closed the connection".into()),
-                Ok(n) => self.assembler.push(&self.chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(io("recv", e)),
-            }
-        }
-    }
+/// Connects a client to a server under test.
+pub fn connect(addr: SocketAddr) -> Result<NetClient, String> {
+    NetClient::connect(addr).map_err(net_error("connect"))
 }
 
 /// One pool entry's request, as the generator sends it.
@@ -119,8 +40,6 @@ pub struct Answer {
     pub stats: ReuseStats,
     /// Whether the answer arrived within the measured window.
     pub in_window: bool,
-    /// Arrival time from the loop's start.
-    pub at: Duration,
 }
 
 /// What one send loop observed.
@@ -143,6 +62,23 @@ pub struct Log {
 }
 
 impl Log {
+    /// Joins the logs of successive loops into one whose window is the
+    /// sum of theirs.
+    pub fn join(logs: Vec<Log>) -> Log {
+        let mut joined = Log::default();
+        for log in logs {
+            joined.answers.extend(log.answers);
+            joined.sent += log.sent;
+            joined.rejects += log.rejects;
+            joined.lag_us.extend(log.lag_us);
+            joined.in_flight_max = joined.in_flight_max.max(log.in_flight_max);
+            joined.window += log.window;
+            joined.elapsed += log.elapsed;
+            joined.ids_answered += log.ids_answered;
+        }
+        joined
+    }
+
     /// Answers that arrived within the window.
     pub fn completed_in_window(&self) -> usize {
         self.answers.iter().filter(|a| a.in_window).count()
@@ -153,19 +89,16 @@ impl Log {
         self.answers.iter().map(|a| a.latency_ms).collect()
     }
 
-    /// The median over one-second slices of the window of the
-    /// per-second sum of `weight` over the answers arriving in each
-    /// slice — a rate that a burst of interference in one slice cannot
-    /// move.
-    pub fn sliced_rate(&self, weight: impl Fn(&Answer) -> f64) -> f64 {
-        let slices = (self.window.as_secs_f64().round() as usize).max(1);
-        let width = self.window.as_secs_f64() / slices as f64;
-        let mut sums = vec![0.0; slices];
-        for a in self.answers.iter().filter(|a| a.in_window) {
-            let slice = ((a.at.as_secs_f64() / width) as usize).min(slices - 1);
-            sums[slice] += weight(a);
-        }
-        crate::report::median(&sums) / width
+    /// The per-second sum of `weight` over the answers that arrived
+    /// within the window.
+    pub fn rate(&self, weight: impl Fn(&Answer) -> f64) -> f64 {
+        let sum: f64 = self
+            .answers
+            .iter()
+            .filter(|a| a.in_window)
+            .map(weight)
+            .sum();
+        sum / self.window.as_secs_f64()
     }
 }
 
@@ -192,7 +125,7 @@ impl Flight {
 
     fn send(
         &mut self,
-        conn: &mut Conn,
+        conn: &mut NetClient,
         mut planned: Planned,
         at: Instant,
         log: &mut Log,
@@ -200,7 +133,7 @@ impl Flight {
         let id = self.next_id;
         self.next_id += 1;
         planned.request.id = id;
-        conn.send(&planned.request)?;
+        conn.send(&planned.request).map_err(net_error("send"))?;
         self.pending.insert(id, (planned.pool, at));
         log.sent += 1;
         log.in_flight_max = log.in_flight_max.max(self.pending.len());
@@ -227,7 +160,6 @@ impl Flight {
                     stats: r.stats(),
                     outputs: r.outputs,
                     in_window: arrived <= log.window,
-                    at: arrived,
                 });
             }
             ServerFrame::Reject(r) => {
@@ -258,7 +190,7 @@ pub type Tick<'a> = dyn FnMut() -> Result<bool, String> + 'a;
 /// Closed loop: keeps `concurrency` requests in flight for `window`,
 /// then waits for the stragglers.
 pub fn closed_loop(
-    conn: &mut Conn,
+    conn: &mut NetClient,
     flight: &mut Flight,
     concurrency: usize,
     window: Duration,
@@ -275,7 +207,7 @@ pub fn closed_loop(
         flight.send(conn, next(), Instant::now(), &mut log)?;
     }
     while !flight.is_empty() {
-        let frame = conn.recv()?;
+        let frame = conn.recv().map_err(net_error("recv"))?;
         flight.settle(frame, start, &mut log)?;
         let hold = tick()?;
         if Instant::now() < end || hold {
@@ -294,7 +226,7 @@ const POLL_NAP: Duration = Duration::from_micros(50);
 /// Open loop: Poisson arrivals at `rate` per second for `window`, each
 /// request's latency timed from its scheduled send.
 pub fn open_loop(
-    conn: &mut Conn,
+    conn: &mut NetClient,
     flight: &mut Flight,
     rate: f64,
     window: Duration,
@@ -320,7 +252,7 @@ pub fn open_loop(
                 .push(now.duration_since(scheduled).as_secs_f64() * 1e6);
             flight.send(conn, next(), scheduled, &mut log)?;
             scheduled += gap();
-        } else if let Some(frame) = conn.poll()? {
+        } else if let Some(frame) = conn.try_recv().map_err(net_error("recv"))? {
             flight.settle(frame, start, &mut log)?;
             tick()?;
         } else {
@@ -328,7 +260,7 @@ pub fn open_loop(
         }
     }
     while !flight.is_empty() {
-        let frame = conn.recv()?;
+        let frame = conn.recv().map_err(net_error("recv"))?;
         flight.settle(frame, start, &mut log)?;
         tick()?;
     }

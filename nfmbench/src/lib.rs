@@ -214,13 +214,11 @@ pub(crate) fn record_model(o: &mut Outcome, artifacts: &[&[u8]]) -> Result<(), S
 /// Records `rnn.*` and `trace.overhead_share` from a traced phase.
 pub(crate) fn record_trace(
     o: &mut Outcome,
-    sink: &trace::TraceSink,
+    split: &trace::Split,
     workers: usize,
-    traced_wall_ms: f64,
     traced_steps: u64,
     untraced_ms_per_step: f64,
 ) {
-    let split = trace::Split::of(sink, traced_wall_ms, workers);
     o.note(split.describe(workers));
     let ksteps = traced_steps as f64 / 1e3;
     const NAMES: [&str; trace::LAYERS] = [
@@ -235,7 +233,7 @@ pub(crate) fn record_trace(
     }
     o.metric("rnn.eval_calls", split.calls as f64 / ksteps);
     o.metric("rnn.sched_self_ms", split.remainder_ms / ksteps);
-    let traced_ms_per_step = traced_wall_ms / traced_steps as f64;
+    let traced_ms_per_step = split.worker_ms / workers as f64 / traced_steps as f64;
     o.metric(
         "trace.overhead_share",
         traced_ms_per_step / untraced_ms_per_step - 1.0,

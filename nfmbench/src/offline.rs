@@ -8,7 +8,7 @@
 
 use crate::data::{self, Entry, Kind, Model};
 use crate::report::{self, Outcome};
-use crate::trace::{TimedPredictor, TraceSink};
+use crate::trace::{Split, TimedPredictor, TraceSink};
 use crate::{ms, nproc, Args, ServeLayer};
 use nfm_core::{BnnMemoConfig, BnnPredictor, ExactPredictor, ReuseStats};
 use nfm_net::{WireRequest, WireResponse};
@@ -21,6 +21,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MODEL: &str = "ds2";
+/// θ of the memoized passes.
+const THETA: f32 = 0.5;
+/// Answers the traced run's untraced phase collects at least, so
+/// `serve.queue_p99_ms` resolves.
+const MIN_ANSWERS: usize = 1000;
 
 /// Sizes of the workload.
 #[derive(Debug, Clone)]
@@ -35,13 +40,8 @@ pub struct Config {
     pub lengths: (usize, usize),
     pub lanes: usize,
     pub workers: usize,
-    /// θ of the memoized passes.
-    pub theta: f32,
     /// Set-ups whose median is `setup_s`.
     pub setups: usize,
-    /// Answers the traced run's untraced phase collects at least, so
-    /// `serve.queue_p99_ms` resolves.
-    pub min_answers: usize,
     /// Flips one output bit before the checks (the gate's own test).
     pub corrupt: bool,
 }
@@ -56,9 +56,7 @@ impl Config {
             lengths: (16, 64),
             lanes: 8,
             workers: nproc(),
-            theta: 0.5,
             setups: 11,
-            min_answers: 1000,
             corrupt: false,
         }
     }
@@ -81,7 +79,7 @@ fn engine_from_artifact(cfg: &Config, model: &Model) -> Result<Engine, String> {
     registry
         .add_predictor(
             MODEL,
-            PredictorKind::Bnn(BnnMemoConfig::with_threshold(cfg.theta)),
+            PredictorKind::Bnn(BnnMemoConfig::with_threshold(THETA)),
         )
         .map_err(|e| e.to_string())?;
     build(cfg, registry)
@@ -100,7 +98,7 @@ fn traced_engine(cfg: &Config, model: &Model, sink: &Arc<TraceSink>) -> Result<E
             TimedPredictor::wrap(Arc::new(ExactPredictor), sink),
         )
         .map_err(|e| e.to_string())?;
-    let bnn = BnnPredictor::new(mirror, BnnMemoConfig::with_threshold(cfg.theta));
+    let bnn = BnnPredictor::new(mirror, BnnMemoConfig::with_threshold(THETA));
     registry
         .add_custom_predictor(MODEL, "bnn", TimedPredictor::wrap(Arc::new(bnn), sink))
         .map_err(|e| e.to_string())?;
@@ -182,7 +180,7 @@ fn passes(
         let indices: Vec<usize> = (0..cfg.batch)
             .map(|j| (k * cfg.batch + j) % entries.len())
             .collect();
-        for kind in [Kind::Exact, Kind::Bnn(cfg.theta)] {
+        for kind in [Kind::Exact, Kind::Bnn(THETA)] {
             let p = pass(engine, entries, &indices, kind, next_id)?;
             answers += p.responses.len();
             out.push(p);
@@ -242,7 +240,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let (lo, hi) = cfg.lengths;
     let jobs = data::utterances(&model, args.seed, cfg.pool, lo, hi)
         .into_iter()
-        .map(|s| (s, Kind::Bnn(cfg.theta)))
+        .map(|s| (s, Kind::Bnn(THETA)))
         .collect();
     let entries = data::with_references(&model, jobs, nproc())?;
     let mut o = Outcome::default();
@@ -256,7 +254,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         cfg.batch,
         cfg.workers,
         cfg.lanes,
-        cfg.theta
+        THETA
     ));
 
     // Set-up: artifact bytes to the first answered request.
@@ -280,11 +278,11 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
 
     let mut next_id = 1;
     let warm: Vec<usize> = (0..cfg.batch.min(entries.len())).collect();
-    for kind in [Kind::Exact, Kind::Bnn(cfg.theta)] {
+    for kind in [Kind::Exact, Kind::Bnn(THETA)] {
         let p = pass(&engine, &entries, &warm, kind, &mut next_id)?;
         check(&entries, &[p])?;
     }
-    let min_answers = if args.trace { cfg.min_answers } else { 0 };
+    let min_answers = if args.trace { MIN_ANSWERS } else { 0 };
     let mut timed = passes(
         cfg,
         &engine,
@@ -399,21 +397,16 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     crate::record_model(&mut o, &[&model.artifact])?;
     o.metric("swap.promote_ms", 0.0);
     o.metric("loadgen.send_lag_p99_us", 0.0);
-    o.metric("loadgen.in_flight_max", cfg.batch as f64);
+    o.note("loadgen: no generator on this workload (batches are submitted whole); lag and in-flight reported as 0");
+    o.metric("loadgen.in_flight_max", 0.0);
     crate::record_replays(&mut o, &model, &model)?;
 
     let sink = TraceSink::new();
     let traced = traced_engine(cfg, &model, &sink)?;
-    let mut traced_passes = passes(cfg, &traced, &entries, args.window(), 0, &mut next_id)?;
+    let before = sink.sample()?;
+    let traced_passes = passes(cfg, &traced, &entries, args.window(), 0, &mut next_id)?;
+    let after = sink.sample()?;
     traced.shutdown();
-    if cfg.corrupt {
-        if let Some(r) = traced_passes
-            .first_mut()
-            .and_then(|p| p.responses.first_mut())
-        {
-            data::corrupt(&mut r.outputs);
-        }
-    }
     check(&entries, &traced_passes)?;
     o.attempted += traced_passes
         .iter()
@@ -421,9 +414,8 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         .sum::<u64>();
     crate::record_trace(
         &mut o,
-        &sink,
+        &Split::between(&before, &after, wall_ms(&traced_passes), cfg.workers),
         cfg.workers,
-        wall_ms(&traced_passes),
         steps(&traced_passes),
         wall_ms(&timed) / steps(&timed) as f64,
     );

@@ -11,16 +11,16 @@
 //! shadow compute and artifact load, which the other workloads never
 //! touch.
 
-use crate::client::{self, Conn, Flight, Log, Planned};
+use crate::client::{self, net_error, Flight, Log, Planned};
 use crate::data::{self, Corpus, Entry, Kind, Model};
 use crate::report::{self, Outcome};
-use crate::trace::{TimedPredictor, TraceSink};
+use crate::trace::{Split, TimedPredictor, TraceSink};
 use crate::wire::{
     answer_probe, check, memo_stats, net_overhead_us, responses, serve, steps_per_s,
 };
 use crate::{ms, nproc, Args, ServeLayer};
 use nfm_core::{BnnMemoConfig, BnnPredictor, ExactPredictor};
-use nfm_net::{ServerFrame, ServerHandle, WireAdmin, WirePredictorKind, WireRequest};
+use nfm_net::{NetClient, ServerFrame, ServerHandle, WireAdmin, WirePredictorKind, WireRequest};
 use nfm_serve::{Engine, EngineBuilder, ModelRegistry, PredictorKind, SwapOutcome};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_workloads::NetworkId;
@@ -32,6 +32,15 @@ const COLD: &str = "imdb";
 
 /// Longest a swap may take from its admin frame to its promotion.
 const SWAP_TIMEOUT: Duration = Duration::from_secs(30);
+/// Share of hot requests.
+const HOT_SHARE: f64 = 0.75;
+/// θ overrides the cold requests draw from (more than any context cap
+/// the workload runs with).
+const THETAS: [f32; 8] = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5];
+/// Requests in flight.
+const CONCURRENCY: usize = 16;
+/// Canary comparisons a swap needs to promote.
+const CANARY_MIN: u64 = 8;
 
 /// Sizes of the workload.
 #[derive(Debug, Clone)]
@@ -40,24 +49,17 @@ pub struct Config {
     pub hot_scale: f32,
     pub hot_pool: usize,
     pub hot_lengths: (usize, usize),
-    /// Share of hot requests.
-    pub hot_share: f64,
     /// IMDB scale of the cold model.
     pub cold_scale: f32,
     pub corpus: usize,
     pub cold_pool: usize,
     pub cold_lengths: (usize, usize),
-    /// θ overrides the cold requests draw from.
-    pub thetas: Vec<f32>,
-    /// Idle override contexts kept per worker (fewer than `thetas`).
+    /// Idle override contexts kept per worker (fewer than `THETAS`).
     pub override_context_cap: usize,
     pub lanes: usize,
     pub workers: usize,
-    pub concurrency: usize,
     /// Requests sent between a promotion and the next swap.
     pub swap_every: u64,
-    /// Canary comparisons a swap needs to promote.
-    pub canary_min: u64,
     pub setups: usize,
     /// Flips one output bit before the checks (the gate's own test).
     pub corrupt: bool,
@@ -70,18 +72,14 @@ impl Config {
             hot_scale: 0.25,
             hot_pool: 64,
             hot_lengths: (16, 64),
-            hot_share: 0.75,
             cold_scale: 1.0,
             corpus: 2048,
             cold_pool: 3000,
             cold_lengths: (8, 48),
-            thetas: vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5],
             override_context_cap: 4,
             lanes: 8,
             workers: nproc(),
-            concurrency: 16,
             swap_every: 64,
-            canary_min: 8,
             setups: 21,
             corrupt: false,
         }
@@ -108,15 +106,11 @@ impl Plan {
     }
 }
 
-fn registry(
-    cfg: &Config,
-    plan: &Plan,
-    sink: Option<&Arc<TraceSink>>,
-) -> Result<ModelRegistry, String> {
+fn registry(plan: &Plan, sink: Option<&Arc<TraceSink>>) -> Result<ModelRegistry, String> {
     let load =
         |m: &Model| nfm_model::load_from_slice(&m.artifact).map_err(|e| format!("load: {e}"));
     let (hot, cold) = (load(&plan.hot)?, load(&plan.cold)?);
-    let bnn = BnnMemoConfig::with_threshold(cfg.thetas[cfg.thetas.len() / 2]);
+    let bnn = BnnMemoConfig::with_threshold(THETAS[THETAS.len() / 2]);
     let mut registry = ModelRegistry::new();
     match sink {
         None => {
@@ -148,8 +142,8 @@ fn registry(
 
 struct Live {
     handle: ServerHandle,
-    conn: Conn,
-    admin: Conn,
+    conn: NetClient,
+    admin: NetClient,
 }
 
 fn start(
@@ -158,16 +152,16 @@ fn start(
     sink: Option<&Arc<TraceSink>>,
     probe: &WireRequest,
 ) -> Result<Live, String> {
-    let engine = EngineBuilder::from_registry(registry(cfg, plan, sink)?)
+    let engine = EngineBuilder::from_registry(registry(plan, sink)?)
         .workers(cfg.workers)
         .lanes(cfg.lanes)
         .override_context_cap(cfg.override_context_cap)
         .build()
         .map_err(|e| e.to_string())?;
     let handle = serve(engine)?;
-    let mut conn = Conn::connect(handle.addr())?;
+    let mut conn = client::connect(handle.addr())?;
     answer_probe(&mut conn, probe)?;
-    let admin = Conn::connect(handle.addr())?;
+    let admin = client::connect(handle.addr())?;
     Ok(Live {
         handle,
         conn,
@@ -179,10 +173,9 @@ fn start(
 /// `swap_every` requests after the previous promotion.
 struct Swapper<'a> {
     engine: &'a Engine,
-    admin: &'a mut Conn,
+    admin: &'a mut NetClient,
     artifact: &'a [u8],
     every: u64,
-    canary_min: u64,
     /// Traffic sent since the last promotion.
     since: u64,
     next_admin_id: u64,
@@ -209,14 +202,16 @@ impl Swapper<'_> {
                 let admin = WireAdmin::swap(self.next_admin_id, HOT, self.artifact.to_vec())
                     .predictors(vec![WirePredictorKind::Exact])
                     .fraction(0.5)
-                    .min_requests(self.canary_min)
+                    .min_requests(CANARY_MIN)
                     .tolerance(0.0);
                 self.next_admin_id += 1;
                 self.pending = Some((Instant::now(), None));
-                self.admin.send_admin(&admin)?;
+                self.admin
+                    .send_admin(&admin)
+                    .map_err(net_error("admin send"))?;
             }
             None => {}
-            Some((sent, None)) => match self.admin.poll()? {
+            Some((sent, None)) => match self.admin.try_recv().map_err(net_error("admin recv"))? {
                 Some(ServerFrame::AdminOk(ok)) => self.pending = Some((sent, Some(ok.version))),
                 Some(other) => return Err(format!("swap refused: {other:?}")),
                 None => {}
@@ -256,7 +251,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let cold_jobs = (0..cfg.cold_pool)
         .map(|_| {
             let text = corpus.draw(&mut rng, clo, chi);
-            (text, Kind::Bnn(cfg.thetas[rng.index(cfg.thetas.len())]))
+            (text, Kind::Bnn(THETAS[rng.index(THETAS.len())]))
         })
         .collect();
     let mut entries = data::with_references(&hot, hot_jobs, nproc())?;
@@ -276,19 +271,21 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
          {} workers x {} lanes; closed loop at concurrency {}; a same-weights swap of the hot model every {} requests",
         cfg.hot_scale,
         plan.hot.network.weight_count(),
-        cfg.hot_share * 100.0,
+        HOT_SHARE * 100.0,
         cfg.hot_pool,
         cfg.cold_scale,
         cfg.cold_pool,
-        cfg.thetas,
+        THETAS,
         cfg.override_context_cap,
         cfg.workers,
         cfg.lanes,
-        cfg.concurrency,
+        CONCURRENCY,
         cfg.swap_every
     ));
 
-    let probe = plan.request(0);
+    // One timestep of the hot model: the probe's cost does not depend
+    // on the seed.
+    let probe = WireRequest::new(0, plan.entries[0].sequence[..1].to_vec()).with_model(HOT);
     let mut setup_s = Vec::with_capacity(cfg.setups);
     let mut live = None;
     for _ in 0..cfg.setups {
@@ -311,7 +308,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let (mut next_hot, mut next_cold) = (0usize, 0usize);
     let cold_pool = plan.entries.len() - plan.hot_pool;
     let mut next = || {
-        let pool = if traffic.coin(cfg.hot_share) {
+        let pool = if traffic.coin(HOT_SHARE) {
             next_hot += 1;
             (next_hot - 1) % plan.hot_pool
         } else {
@@ -329,7 +326,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         admin: &mut admin,
         artifact: &plan.hot.artifact,
         every: cfg.swap_every,
-        canary_min: cfg.canary_min,
+
         since: 0,
         next_admin_id: 1,
         pending: None,
@@ -344,10 +341,10 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         }
         swapper.tick()
     };
-    let warm = client::closed_loop(
+    let mut warm = client::closed_loop(
         &mut conn,
         &mut flight,
-        cfg.concurrency,
+        CONCURRENCY,
         Duration::from_millis(500),
         &mut next,
         &mut tick,
@@ -360,7 +357,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let closed = client::closed_loop(
         &mut conn,
         &mut flight,
-        cfg.concurrency,
+        CONCURRENCY,
         window,
         &mut next,
         &mut tick,
@@ -370,7 +367,10 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let contexts = engine.context_stats().len();
     let (lane_borrows, migrations) = (engine.lane_borrows(), engine.migrations());
     let stats = handle.shutdown();
-    check(&plan.entries, &[&warm, &closed], cfg.corrupt)?;
+    if let Some(a) = warm.answers.first_mut().filter(|_| cfg.corrupt) {
+        data::corrupt(&mut a.outputs);
+    }
+    check(&plan.entries, &[&warm, &closed])?;
     if reports.len() != promote_ms.len()
         || reports.iter().any(|r| r.outcome != SwapOutcome::Promoted)
     {
@@ -386,9 +386,9 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     o.attempted = warm.sent + closed.sent;
     o.failed = stats.rejects_total();
     let latency = closed.latencies();
-    let capacity = closed.sliced_rate(|_| 1.0);
+    let capacity = closed.rate(|_| 1.0);
     o.note(format!(
-        "closed loop: {} answers in {:.1} s, median {capacity:.1} req/s over one-second slices; \
+        "closed loop: {} answers in {:.1} s, {capacity:.1} req/s; \
          latency {}, {}, {}; failed share {:.5}",
         closed.completed_in_window(),
         window.as_secs_f64(),
@@ -463,26 +463,28 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     // untimed built-ins, so the untraced reference and the traced phase
     // both run without swaps.
     let half = window / 2;
-    let mut phase = |sink: Option<&Arc<TraceSink>>| -> Result<Log, String> {
+    let sink = TraceSink::new();
+    let mut phase = |traced: bool| -> Result<(Log, Split), String> {
         let Live {
             handle, mut conn, ..
-        } = start(cfg, &plan, sink, &probe)?;
+        } = start(cfg, &plan, traced.then_some(&sink), &probe)?;
         let mut flight = Flight::new();
+        let before = sink.sample()?;
         let log = client::closed_loop(
             &mut conn,
             &mut flight,
-            cfg.concurrency,
+            CONCURRENCY,
             half,
             &mut next,
             &mut || Ok(false),
         )?;
+        let split = Split::between(&before, &sink.sample()?, ms(log.elapsed), cfg.workers);
         handle.shutdown();
-        Ok(log)
+        Ok((log, split))
     };
-    let reference = phase(None)?;
-    let sink = TraceSink::new();
-    let traced = phase(Some(&sink))?;
-    check(&plan.entries, &[&reference, &traced], cfg.corrupt)?;
+    let (reference, _) = phase(false)?;
+    let (traced, split) = phase(true)?;
+    check(&plan.entries, &[&reference, &traced])?;
     o.attempted += reference.sent + traced.sent;
     let steps = |log: &Log| {
         log.answers
@@ -492,9 +494,8 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     };
     crate::record_trace(
         &mut o,
-        &sink,
+        &split,
         cfg.workers,
-        ms(traced.elapsed),
         steps(&traced),
         ms(reference.elapsed) / steps(&reference) as f64,
     );

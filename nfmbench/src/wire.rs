@@ -7,17 +7,20 @@
 //! worker's lanes, so it measures capacity at saturation.  Phase B is an
 //! open-loop Poisson run at a fixed rate, about a quarter of phase A's
 //! capacity on a 2-vCPU AVX-512 host: latency is then mostly service time,
-//! not queueing, which amplifies a shared host's speed swings.
+//! not queueing, which amplifies a shared host's speed swings.  The two
+//! phases alternate in five rounds across the measured window.
 //! Per-request fixed costs dominate here — codec, poll loop, queue,
 //! admission, lane refill — and kernels are tiny.
 
-use crate::client::{self, Answer, Conn, Flight, Log, Planned};
+use crate::client::{self, net_error, Answer, Flight, Log, Planned};
 use crate::data::{self, Corpus, Entry, Kind, Model};
 use crate::report::{self, Outcome};
-use crate::trace::{TimedPredictor, TraceSink};
+use crate::trace::{Split, TimedPredictor, TraceSink};
 use crate::{ms, nproc, Args, ServeLayer};
 use nfm_core::{BnnMemoConfig, BnnPredictor, ExactPredictor, ReuseStats};
-use nfm_net::{NetServer, ServerFrame, ServerHandle, WireRequest, WireResponse, WireStats};
+use nfm_net::{
+    NetClient, NetServer, ServerFrame, ServerHandle, WireRequest, WireResponse, WireStats,
+};
 use nfm_serve::{CompletionStatus, Engine, EngineBuilder, ModelRegistry, PredictorKind};
 use nfm_tensor::rng::DeterministicRng;
 use nfm_workloads::NetworkId;
@@ -25,6 +28,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MODEL: &str = "imdb";
+/// Share of BNN requests.
+const BNN_SHARE: f64 = 0.75;
+/// Engine workers: one, so per-request costs are not spread over cores.
+const WORKERS: usize = 1;
+/// Rounds of closed loop then open loop the measured window is cut
+/// into.
+const ROUNDS: u32 = 5;
 
 /// Sizes of the workload.
 #[derive(Debug, Clone)]
@@ -37,11 +47,8 @@ pub struct Config {
     pub pool: usize,
     /// Request lengths, inclusive.
     pub lengths: (usize, usize),
-    /// Share of BNN requests.
-    pub bnn_share: f64,
     pub theta: f32,
     pub lanes: usize,
-    pub workers: usize,
     /// Phase A requests in flight.
     pub concurrency: usize,
     /// Phase B arrivals per second.
@@ -60,10 +67,8 @@ impl Config {
             corpus: 2048,
             pool: 5000,
             lengths: (8, 48),
-            bnn_share: 0.75,
             theta: 2.0,
             lanes: 8,
-            workers: 1,
             concurrency: 16,
             rate: 250.0,
             setups: 21,
@@ -115,9 +120,9 @@ pub(crate) fn serve(engine: Engine) -> Result<ServerHandle, String> {
 }
 
 /// Sends `probe` and waits for its answer: the end of a set-up.
-pub(crate) fn answer_probe(conn: &mut Conn, probe: &WireRequest) -> Result<(), String> {
-    conn.send(probe)?;
-    match conn.recv()? {
+pub(crate) fn answer_probe(conn: &mut NetClient, probe: &WireRequest) -> Result<(), String> {
+    conn.send(probe).map_err(net_error("send"))?;
+    match conn.recv().map_err(net_error("recv"))? {
         ServerFrame::Response(r) if r.status == CompletionStatus::Done => Ok(()),
         other => Err(format!("the set-up probe was answered with {other:?}")),
     }
@@ -126,7 +131,7 @@ pub(crate) fn answer_probe(conn: &mut Conn, probe: &WireRequest) -> Result<(), S
 /// A running server with its traffic connection.
 struct Live {
     handle: ServerHandle,
-    conn: Conn,
+    conn: NetClient,
 }
 
 fn start(
@@ -136,12 +141,12 @@ fn start(
     probe: &WireRequest,
 ) -> Result<Live, String> {
     let engine = EngineBuilder::from_registry(registry(cfg, model, sink)?)
-        .workers(cfg.workers)
+        .workers(WORKERS)
         .lanes(cfg.lanes)
         .build()
         .map_err(|e| e.to_string())?;
     let handle = serve(engine)?;
-    let mut conn = Conn::connect(handle.addr())?;
+    let mut conn = client::connect(handle.addr())?;
     answer_probe(&mut conn, probe)?;
     Ok(Live { handle, conn })
 }
@@ -157,8 +162,7 @@ fn request(entry: &Entry) -> WireRequest {
 
 /// Checks every answer of `logs` against the pool: `Done` and
 /// bit-identical to its single-sequence reference.
-pub(crate) fn check(entries: &[Entry], logs: &[&Log], corrupt: bool) -> Result<(), String> {
-    let mut first = corrupt;
+pub(crate) fn check(entries: &[Entry], logs: &[&Log]) -> Result<(), String> {
     for log in logs {
         if log.ids_answered != log.sent {
             return Err(format!(
@@ -171,11 +175,6 @@ pub(crate) fn check(entries: &[Entry], logs: &[&Log], corrupt: bool) -> Result<(
                 return Err(format!("pool entry {} completed as {:?}", a.pool, a.status));
             }
             let entry = &entries[a.pool];
-            if std::mem::take(&mut first) {
-                let mut bad = a.outputs.clone();
-                data::corrupt(&mut bad);
-                data::check_entry(&format!("pool entry {}", a.pool), entry, entry.kind, &bad)?;
-            }
             data::check_entry(
                 &format!("pool entry {}", a.pool),
                 entry,
@@ -188,9 +187,9 @@ pub(crate) fn check(entries: &[Entry], logs: &[&Log], corrupt: bool) -> Result<(
 }
 
 /// Timesteps per second answered for the pool entries that satisfy
-/// `select` (median over one-second slices).
+/// `select`, within the window.
 pub(crate) fn steps_per_s(entries: &[Entry], log: &Log, select: impl Fn(&Entry) -> bool) -> f64 {
-    log.sliced_rate(|a| {
+    log.rate(|a| {
         let entry = &entries[a.pool];
         if select(entry) {
             entry.steps() as f64
@@ -262,7 +261,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let jobs = (0..cfg.pool)
         .map(|_| {
             let text = corpus.draw(&mut rng, lo, hi);
-            let kind = if rng.coin(cfg.bnn_share) {
+            let kind = if rng.coin(BNN_SHARE) {
                 Kind::Bnn(cfg.theta)
             } else {
                 Kind::Exact
@@ -278,9 +277,9 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         cfg.scale,
         model.network.weight_count(),
         cfg.pool,
-        cfg.bnn_share * 100.0,
+        BNN_SHARE * 100.0,
         cfg.theta,
-        cfg.workers,
+        WORKERS,
         cfg.lanes,
         cfg.concurrency,
         cfg.rate
@@ -320,7 +319,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         }
         Ok(false)
     };
-    let warm = client::closed_loop(
+    let mut warm = client::closed_loop(
         &mut conn,
         &mut flight,
         cfg.concurrency,
@@ -328,27 +327,37 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         &mut next,
         &mut sample,
     )?;
-    let closed = client::closed_loop(
-        &mut conn,
-        &mut flight,
-        cfg.concurrency,
-        half,
-        &mut next,
-        &mut sample,
-    )?;
+    // The phases alternate in short rounds, so that a slow spell of a
+    // shared host falls on both and each samples the whole run.
+    let round = half / ROUNDS;
     let mut arrivals = DeterministicRng::seed_from_u64(args.seed ^ 0x0A11);
-    let open = client::open_loop(
-        &mut conn,
-        &mut flight,
-        cfg.rate,
-        half,
-        &mut arrivals,
-        &mut next,
-        &mut sample,
-    )?;
+    let (mut closed, mut open) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        closed.push(client::closed_loop(
+            &mut conn,
+            &mut flight,
+            cfg.concurrency,
+            round,
+            &mut next,
+            &mut sample,
+        )?);
+        open.push(client::open_loop(
+            &mut conn,
+            &mut flight,
+            cfg.rate,
+            round,
+            &mut arrivals,
+            &mut next,
+            &mut sample,
+        )?);
+    }
+    let (closed, open) = (Log::join(closed), Log::join(open));
     let (lane_borrows, migrations) = (engine.lane_borrows(), engine.migrations());
     let stats = handle.shutdown();
-    check(&entries, &[&warm, &closed, &open], cfg.corrupt)?;
+    if let Some(a) = warm.answers.first_mut().filter(|_| cfg.corrupt) {
+        data::corrupt(&mut a.outputs);
+    }
+    check(&entries, &[&warm, &closed, &open])?;
     let lag = check_lag(&open, cfg.rate)?;
     o.note(lag);
     o.attempted = warm.sent + closed.sent + open.sent;
@@ -362,9 +371,9 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         report::describe_percentile(&latency, 0.99, "ms"),
         report::describe_percentile(&latency, 0.999, "ms"),
     ));
-    let capacity = closed.sliced_rate(|_| 1.0);
+    let capacity = closed.rate(|_| 1.0);
     o.note(format!(
-        "closed loop: {} answers in {:.1} s, median {capacity:.1} req/s over one-second slices; failed share {:.5}",
+        "closed loop: {} answers in {:.1} s, {capacity:.1} req/s; failed share {:.5}",
         closed.completed_in_window(),
         half.as_secs_f64(),
         o.failed as f64 / o.attempted as f64
@@ -402,7 +411,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         queue_ms: answers.iter().map(|a| a.queue_ms).collect(),
         compute_ms: answers.iter().map(|a| a.compute_ms).collect(),
         wall_ms: ms(2 * half),
-        lane_slots: cfg.workers * cfg.lanes,
+        lane_slots: WORKERS * cfg.lanes,
         queue_depth_max: depth_max,
         lane_borrows,
         migrations,
@@ -435,6 +444,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let sink = TraceSink::new();
     let Live { handle, mut conn } = start(cfg, &model, Some(&sink), &probe)?;
     let mut flight = Flight::new();
+    let before = sink.sample()?;
     let traced = client::closed_loop(
         &mut conn,
         &mut flight,
@@ -443,8 +453,9 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         &mut next,
         &mut || Ok(false),
     )?;
+    let after = sink.sample()?;
     handle.shutdown();
-    check(&entries, &[&traced], cfg.corrupt)?;
+    check(&entries, &[&traced])?;
     o.attempted += traced.sent;
     let steps = |log: &Log| {
         log.answers
@@ -454,9 +465,8 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     };
     crate::record_trace(
         &mut o,
-        &sink,
-        cfg.workers,
-        ms(traced.elapsed),
+        &Split::between(&before, &after, ms(traced.elapsed), WORKERS),
+        WORKERS,
         steps(&traced),
         ms(closed.elapsed) / steps(&closed) as f64,
     );

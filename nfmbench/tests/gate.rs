@@ -22,9 +22,7 @@ fn tiny_offline(corrupt: bool) -> offline::Config {
         lengths: (3, 6),
         lanes: 2,
         workers: 2,
-        theta: 0.5,
         setups: 2,
-        min_answers: 1000,
         corrupt,
     }
 }
@@ -35,10 +33,8 @@ fn tiny_wire(corrupt: bool) -> wire::Config {
         corpus: 16,
         pool: 40,
         lengths: (2, 6),
-        bnn_share: 0.75,
         theta: 1.0,
         lanes: 2,
-        workers: 1,
         concurrency: 4,
         rate: 400.0,
         setups: 2,
@@ -61,7 +57,6 @@ fn tiny_swap(corrupt: bool) -> swap::Config {
         swap_every: 8,
         setups: 2,
         corrupt,
-        ..swap::Config::standard()
     }
 }
 
