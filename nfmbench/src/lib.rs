@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path nfmbench/Cargo.toml -- \
-//!     --workload ds2-offline --seed 1 --seconds 20 --trace 0
+//!     --workload ds2-offline --seed 1 --seconds 30 --trace 0
 //! ```
 //!
 //! `BENCHMARK.json` at the repository root lists the workloads, the
@@ -18,6 +18,7 @@
 //! timed evaluators and layer replays and reports
 //! [`report::PER_LAYER`].
 
+mod affinity;
 mod client;
 mod data;
 pub mod offline;

@@ -4,14 +4,21 @@
 //! tokens.
 //!
 //! Phase A is a closed loop with 16 requests in flight, twice the
-//! worker's lanes, so it measures capacity at saturation.  Phase B is an
-//! open-loop Poisson run at a fixed rate, about a quarter of phase A's
-//! capacity on a 2-vCPU AVX-512 host: latency is then mostly service time,
-//! not queueing, which amplifies a shared host's speed swings.  The two
-//! phases alternate in five rounds across the measured window.
+//! worker's lanes, so it measures capacity at saturation.  Phase B is a
+//! closed loop with one request in flight: its client latency, the
+//! unloaded round trip, is the gated latency.  Phase C is an open-loop
+//! Poisson run at a fixed rate, about a quarter of phase A's capacity on
+//! a 2-vCPU AVX-512 host; its latency, timed from the scheduled send, is
+//! printed but not gated, because idle gaps between arrivals let the
+//! host's wake-up delays into every request.  Phase A takes half of the
+//! measured window, phases B and C a quarter each, alternating in ten
+//! rounds: the BNN lanes' throughput swings from round to round, so
+//! capacity gets the most time.  The engine worker is pinned to one CPU
+//! (`affinity::Placement`).
 //! Per-request fixed costs dominate here — codec, poll loop, queue,
 //! admission, lane refill — and kernels are tiny.
 
+use crate::affinity::Placement;
 use crate::client::{self, net_error, Answer, Flight, Log, Planned};
 use crate::data::{self, Corpus, Entry, Kind, Model};
 use crate::report::{self, Outcome};
@@ -32,9 +39,10 @@ const MODEL: &str = "imdb";
 const BNN_SHARE: f64 = 0.75;
 /// Engine workers: one, so per-request costs are not spread over cores.
 const WORKERS: usize = 1;
-/// Rounds of closed loop then open loop the measured window is cut
-/// into.
-const ROUNDS: u32 = 5;
+/// Phase B requests in flight.
+const LATENCY_IN_FLIGHT: usize = 1;
+/// Rounds of phases A, B and C the measured window is cut into.
+const ROUNDS: u32 = 10;
 
 /// Sizes of the workload.
 #[derive(Debug, Clone)]
@@ -51,7 +59,7 @@ pub struct Config {
     pub lanes: usize,
     /// Phase A requests in flight.
     pub concurrency: usize,
-    /// Phase B arrivals per second.
+    /// Phase C arrivals per second.
     pub rate: f64,
     /// Set-ups whose median is `setup_s`.
     pub setups: usize,
@@ -134,17 +142,22 @@ struct Live {
     conn: NetClient,
 }
 
+/// Starts a server with its engine worker pinned.
 fn start(
     cfg: &Config,
     model: &Model,
     sink: Option<&Arc<TraceSink>>,
     probe: &WireRequest,
+    placement: &Placement,
 ) -> Result<Live, String> {
-    let engine = EngineBuilder::from_registry(registry(cfg, model, sink)?)
+    let registry = registry(cfg, model, sink)?;
+    placement.worker()?;
+    let engine = EngineBuilder::from_registry(registry)
         .workers(WORKERS)
         .lanes(cfg.lanes)
         .build()
         .map_err(|e| e.to_string())?;
+    placement.release()?;
     let handle = serve(engine)?;
     let mut conn = client::connect(handle.addr())?;
     answer_probe(&mut conn, probe)?;
@@ -273,7 +286,8 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     let mut o = Outcome::default();
     o.note(format!(
         "imdb-wire: IMDB LSTM x{} ({} weights), {} pool requests of {lo}-{hi} tokens, {:.0}% BNN at theta {}, \
-         {} worker x {} lanes; phase A closed loop at concurrency {}, phase B open loop at {} req/s",
+         {} worker x {} lanes; phase A closed loop at concurrency {}, phase B closed loop at concurrency \
+         {LATENCY_IN_FLIGHT}, phase C open loop at {} req/s",
         cfg.scale,
         model.network.weight_count(),
         cfg.pool,
@@ -285,12 +299,14 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         cfg.rate
     ));
 
+    let placement = Placement::new()?;
+    o.note(placement.describe());
     let probe = WireRequest::new(u64::MAX, entries[0].sequence[..1].to_vec()).with_model(MODEL);
     let mut setup_s = Vec::with_capacity(cfg.setups);
     let mut live = None;
     for _ in 0..cfg.setups {
         let started = Instant::now();
-        let l = start(cfg, &model, None, &probe)?;
+        let l = start(cfg, &model, None, &probe, &placement)?;
         setup_s.push(started.elapsed().as_secs_f64());
         if let Some(old) = live.replace(l) {
             old.handle.shutdown();
@@ -298,7 +314,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     }
     let Live { handle, mut conn } = live.ok_or("no set-up ran")?;
 
-    let half = args.window() / 2;
+    let quarter = args.window() / 4;
     let mut flight = Flight::new();
     let mut k = 0usize;
     let mut next = || {
@@ -323,20 +339,28 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
         &mut conn,
         &mut flight,
         cfg.concurrency,
-        (half / 10).min(Duration::from_millis(500)),
+        (quarter / 10).min(Duration::from_millis(500)),
         &mut next,
         &mut sample,
     )?;
     // The phases alternate in short rounds, so that a slow spell of a
-    // shared host falls on both and each samples the whole run.
-    let round = half / ROUNDS;
+    // shared host falls on all three and each samples the whole run.
+    let round = quarter / ROUNDS;
     let mut arrivals = DeterministicRng::seed_from_u64(args.seed ^ 0x0A11);
-    let (mut closed, mut open) = (Vec::new(), Vec::new());
+    let (mut closed, mut unloaded, mut open) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..ROUNDS {
         closed.push(client::closed_loop(
             &mut conn,
             &mut flight,
             cfg.concurrency,
+            2 * round,
+            &mut next,
+            &mut sample,
+        )?);
+        unloaded.push(client::closed_loop(
+            &mut conn,
+            &mut flight,
+            LATENCY_IN_FLIGHT,
             round,
             &mut next,
             &mut sample,
@@ -351,31 +375,38 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
             &mut sample,
         )?);
     }
-    let (closed, open) = (Log::join(closed), Log::join(open));
+    let (closed, unloaded, open) = (Log::join(closed), Log::join(unloaded), Log::join(open));
     let (lane_borrows, migrations) = (engine.lane_borrows(), engine.migrations());
     let stats = handle.shutdown();
     if let Some(a) = warm.answers.first_mut().filter(|_| cfg.corrupt) {
         data::corrupt(&mut a.outputs);
     }
-    check(&entries, &[&warm, &closed, &open])?;
+    check(&entries, &[&warm, &closed, &unloaded, &open])?;
     let lag = check_lag(&open, cfg.rate)?;
     o.note(lag);
-    o.attempted = warm.sent + closed.sent + open.sent;
+    o.attempted = warm.sent + closed.sent + unloaded.sent + open.sent;
     o.failed = stats.rejects_total();
 
-    let latency = open.latencies();
+    let latency = unloaded.latencies();
     o.note(format!(
-        "open loop latency from the scheduled send: {}, {}, {}, {}",
+        "unloaded latency ({LATENCY_IN_FLIGHT} in flight): {}, {}, {}",
         report::describe_percentile(&latency, 0.5, "ms"),
         report::describe_percentile(&latency, 0.9, "ms"),
         report::describe_percentile(&latency, 0.99, "ms"),
-        report::describe_percentile(&latency, 0.999, "ms"),
+    ));
+    let open_latency = open.latencies();
+    o.note(format!(
+        "open loop latency from the scheduled send (not gated): {}, {}, {}, {}",
+        report::describe_percentile(&open_latency, 0.5, "ms"),
+        report::describe_percentile(&open_latency, 0.9, "ms"),
+        report::describe_percentile(&open_latency, 0.99, "ms"),
+        report::describe_percentile(&open_latency, 0.999, "ms"),
     ));
     let capacity = closed.rate(|_| 1.0);
     o.note(format!(
         "closed loop: {} answers in {:.1} s, {capacity:.1} req/s; failed share {:.5}",
         closed.completed_in_window(),
-        half.as_secs_f64(),
+        closed.window.as_secs_f64(),
         o.failed as f64 / o.attempted as f64
     ));
     if !args.trace {
@@ -410,7 +441,7 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
     ServeLayer {
         queue_ms: answers.iter().map(|a| a.queue_ms).collect(),
         compute_ms: answers.iter().map(|a| a.compute_ms).collect(),
-        wall_ms: ms(2 * half),
+        wall_ms: ms(closed.window + open.window),
         lane_slots: WORKERS * cfg.lanes,
         queue_depth_max: depth_max,
         lane_borrows,
@@ -442,14 +473,14 @@ pub fn run(cfg: &Config, args: &Args) -> Result<Outcome, String> {
 
     // Traced phase: the closed loop again, on timed evaluators.
     let sink = TraceSink::new();
-    let Live { handle, mut conn } = start(cfg, &model, Some(&sink), &probe)?;
+    let Live { handle, mut conn } = start(cfg, &model, Some(&sink), &probe, &placement)?;
     let mut flight = Flight::new();
     let before = sink.sample()?;
     let traced = client::closed_loop(
         &mut conn,
         &mut flight,
         cfg.concurrency,
-        half,
+        closed.window,
         &mut next,
         &mut || Ok(false),
     )?;

@@ -36,7 +36,7 @@ fn tiny_wire(corrupt: bool) -> wire::Config {
         theta: 1.0,
         lanes: 2,
         concurrency: 4,
-        rate: 400.0,
+        rate: 800.0,
         setups: 2,
         corrupt,
     }
@@ -72,9 +72,9 @@ fn ds2_offline_passes_clean_and_fails_a_flipped_bit() {
 
 #[test]
 fn imdb_wire_passes_clean_and_fails_a_flipped_bit() {
-    let clean = wire::run(&tiny_wire(false), &args("imdb-wire", 1.0, false)).unwrap();
+    let clean = wire::run(&tiny_wire(false), &args("imdb-wire", 2.0, false)).unwrap();
     clean.validate(END_TO_END).unwrap();
-    let err = wire::run(&tiny_wire(true), &args("imdb-wire", 1.0, false)).unwrap_err();
+    let err = wire::run(&tiny_wire(true), &args("imdb-wire", 2.0, false)).unwrap_err();
     assert!(err.contains("differ"), "{err}");
 }
 
