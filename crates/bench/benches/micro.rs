@@ -69,7 +69,7 @@ fn inference_modes(bench: &mut Bencher) {
     bench.bench("inference/oracle_memoized", || {
         black_box(
             MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4))
-                .sequential()
+                .with_workers(1)
                 .run(&workload)
                 .unwrap(),
         )
@@ -77,7 +77,7 @@ fn inference_modes(bench: &mut Bencher) {
     bench.bench("inference/bnn_memoized", || {
         black_box(
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.4))
-                .sequential()
+                .with_workers(1)
                 .run(&workload)
                 .unwrap(),
         )
@@ -85,7 +85,7 @@ fn inference_modes(bench: &mut Bencher) {
     bench.bench("inference/bnn_memoized_no_throttling", || {
         black_box(
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.4).without_throttling())
-                .sequential()
+                .with_workers(1)
                 .run(&workload)
                 .unwrap(),
         )

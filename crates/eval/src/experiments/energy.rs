@@ -42,7 +42,7 @@ const TIMING_PASSES: usize = 3;
 fn best_seconds(make_runner: impl Fn() -> MemoizedRunner, workload: &Workload) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..TIMING_PASSES {
-        let runner = make_runner().sequential();
+        let runner = make_runner().with_workers(1);
         let start = Instant::now();
         runner
             .run(workload)

@@ -56,12 +56,28 @@ impl From<ProtocolError> for NetError {
     }
 }
 
+/// Bytes requested from the socket per read.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// How long one receive may wait for bytes from the socket.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// Block until a frame arrives.
+    Forever,
+    /// Take only what the socket already holds.
+    Never,
+    /// Block up to the given duration.
+    Upto(Duration),
+}
+
 /// A blocking protocol client over one TCP connection.
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
     assembler: FrameAssembler,
     scratch: Vec<u8>,
+    /// Receive buffer, allocated once per connection.
+    inbuf: Vec<u8>,
 }
 
 impl NetClient {
@@ -78,6 +94,7 @@ impl NetClient {
             stream,
             assembler: FrameAssembler::default(),
             scratch: Vec::new(),
+            inbuf: vec![0; READ_CHUNK],
         })
     }
 
@@ -146,18 +163,9 @@ impl NetClient {
     /// [`NetError::Disconnected`] on clean EOF, otherwise socket or
     /// decode failures.
     pub fn recv(&mut self) -> Result<ServerFrame, NetError> {
-        self.stream.set_nonblocking(false)?;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some(payload) = self.assembler.next_frame()? {
-                return Ok(ServerFrame::decode(&payload)?);
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => self.assembler.push(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(NetError::Io(e)),
-            }
+        match self.read_frame(Wait::Forever)? {
+            Some(frame) => Ok(frame),
+            None => unreachable!("a read without a timeout never times out"),
         }
     }
 
@@ -170,61 +178,62 @@ impl NetClient {
     /// [`NetError::Disconnected`] on clean EOF, otherwise socket or
     /// decode failures.
     pub fn try_recv(&mut self) -> Result<Option<ServerFrame>, NetError> {
-        if let Some(payload) = self.assembler.next_frame()? {
-            return Ok(Some(ServerFrame::decode(&payload)?));
-        }
-        self.stream.set_nonblocking(true)?;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(NetError::Disconnected),
-                Ok(n) => {
-                    self.assembler.push(&chunk[..n]);
-                    if let Some(payload) = self.assembler.next_frame()? {
-                        return Ok(Some(ServerFrame::decode(&payload)?));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
+        self.read_frame(Wait::Never)
     }
 
     /// Blocks up to `timeout` for the next frame; `Ok(None)` on
-    /// timeout.
+    /// timeout.  The socket is back to blocking reads with no timeout
+    /// whatever the outcome.
     ///
     /// # Errors
     ///
     /// [`NetError::Disconnected`] on clean EOF, otherwise socket or
     /// decode failures.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<ServerFrame>, NetError> {
+        self.read_frame(Wait::Upto(timeout))
+    }
+
+    /// The one receive loop: returns a frame already buffered, else
+    /// reads until a frame completes or `wait` runs out (`Ok(None)`).
+    /// A read timeout set here is cleared again on every exit.
+    fn read_frame(&mut self, wait: Wait) -> Result<Option<ServerFrame>, NetError> {
         if let Some(payload) = self.assembler.next_frame()? {
             return Ok(Some(ServerFrame::decode(&payload)?));
         }
-        self.stream.set_nonblocking(false)?;
+        self.stream.set_nonblocking(matches!(wait, Wait::Never))?;
+        let Wait::Upto(timeout) = wait else {
+            return self.fill_until_frame(wait);
+        };
         // read_timeout(Some(0)) is rejected by std; clamp up.
-        let timeout = timeout.max(Duration::from_millis(1));
-        self.stream.set_read_timeout(Some(timeout))?;
-        let mut chunk = [0u8; 64 * 1024];
-        let result = loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => break Err(NetError::Disconnected),
+        self.stream
+            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+        let result = self.fill_until_frame(wait);
+        let restored = self.stream.set_read_timeout(None);
+        let frame = result?;
+        restored?;
+        Ok(frame)
+    }
+
+    fn fill_until_frame(&mut self, wait: Wait) -> Result<Option<ServerFrame>, NetError> {
+        loop {
+            match self.stream.read(&mut self.inbuf) {
+                Ok(0) => return Err(NetError::Disconnected),
                 Ok(n) => {
-                    self.assembler.push(&chunk[..n]);
+                    self.assembler.push(&self.inbuf[..n]);
                     if let Some(payload) = self.assembler.next_frame()? {
-                        break Ok(Some(ServerFrame::decode(&payload)?));
+                        return Ok(Some(ServerFrame::decode(&payload)?));
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    break Ok(None)
+                Err(e)
+                    if !matches!(wait, Wait::Forever)
+                        && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    return Ok(None)
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => break Err(NetError::Io(e)),
+                Err(e) => return Err(NetError::Io(e)),
             }
-        };
-        self.stream.set_read_timeout(None)?;
-        result
+        }
     }
 
     /// Sends raw bytes on the wire, bypassing the encoder — the

@@ -84,15 +84,14 @@ fn estimated_work_macs(network: &DeepRnn, sequences: &[Vec<Vector>]) -> u64 {
 /// unified lane scheduler's block policy with mid-wave refill on
 /// unidirectional stacks, layer-lockstep waves otherwise).
 ///
-/// [`MemoizedRunner::sequential`] remains as the
-/// deterministic-scheduling escape hatch: exactly one engine worker,
-/// requests processed in submission order.  Note that every `run` call
-/// now builds a transient engine — one worker thread spawn/join plus
-/// an owned copy of each input sequence — so callers timing the run
-/// itself (figure experiments, the `runner/*` bench entries) measure
-/// that small constant alongside inference;
 /// [`MemoizedRunner::with_workers`] forces a worker count regardless
-/// of the heuristic.
+/// of the heuristic; `with_workers(1)` is the deterministic-scheduling
+/// setting: exactly one engine worker, requests processed in
+/// submission order.  Note that every `run` call builds a transient
+/// engine — one worker thread spawn/join plus an owned copy of each
+/// input sequence — so callers timing the run itself (figure
+/// experiments, the `runner/*` bench entries) measure that small
+/// constant alongside inference.
 ///
 /// ```
 /// use nfm_serve::{InferenceWorkload, MemoizedRunner};
@@ -117,7 +116,6 @@ fn estimated_work_macs(network: &DeepRnn, sequences: &[Vec<Vector>]) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoizedRunner {
     predictor: PredictorKind,
-    parallel: bool,
     /// Explicit worker-count override (`None` = available parallelism).
     workers: Option<usize>,
 }
@@ -127,7 +125,6 @@ impl MemoizedRunner {
     pub fn exact() -> Self {
         MemoizedRunner {
             predictor: PredictorKind::Exact,
-            parallel: true,
             workers: None,
         }
     }
@@ -136,7 +133,6 @@ impl MemoizedRunner {
     pub fn oracle(config: OracleMemoConfig) -> Self {
         MemoizedRunner {
             predictor: PredictorKind::Oracle(config),
-            parallel: true,
             workers: None,
         }
     }
@@ -145,32 +141,18 @@ impl MemoizedRunner {
     pub fn bnn(config: BnnMemoConfig) -> Self {
         MemoizedRunner {
             predictor: PredictorKind::Bnn(config),
-            parallel: true,
             workers: None,
         }
-    }
-
-    /// Disables the cross-sequence parallel fan-out (exactly one
-    /// engine worker).  Results are bitwise identical either way; use
-    /// this when the caller wants one compute thread and fully
-    /// deterministic scheduling.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
     }
 
     /// Overrides the engine worker count used by [`MemoizedRunner::run`]
     /// (clamped to the number of sequences).  Useful to exercise or
     /// bound the threaded path regardless of the host's core count;
-    /// results stay identical for any worker count.
+    /// results stay identical for any worker count.  `with_workers(1)`
+    /// gives one compute thread and fully deterministic scheduling.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
-    }
-
-    /// Whether the runner fans sequences out across cores.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// The predictor this runner applies.
@@ -187,19 +169,15 @@ impl MemoizedRunner {
     pub fn run(&self, workload: &impl InferenceWorkload) -> RnnResult<RunOutcome> {
         let network = workload.network();
         let sequences = workload.input_sequences();
-        let workers = if self.parallel {
-            match self.workers {
-                // Explicit override: always fan out as requested.
-                Some(n) => n.min(sequences.len().max(1)),
-                // Auto: only spawn when the work amortizes the threads.
-                None if estimated_work_macs(network, sequences) < SPAWN_AMORTIZATION_MACS => 1,
-                None => std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(sequences.len().max(1)),
-            }
-        } else {
-            1
+        let workers = match self.workers {
+            // Explicit override: always fan out as requested.
+            Some(n) => n.min(sequences.len().max(1)),
+            // Auto: only spawn when the work amortizes the threads.
+            None if estimated_work_macs(network, sequences) < SPAWN_AMORTIZATION_MACS => 1,
+            None => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(sequences.len().max(1)),
         };
         self.run_with_engine(network, sequences, 1, workers)
     }
@@ -429,10 +407,8 @@ mod tests {
             MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
         ] {
-            assert!(runner.is_parallel());
             let par = runner.run(&w).unwrap();
-            let seq = runner.sequential().run(&w).unwrap();
-            assert!(!runner.sequential().is_parallel());
+            let seq = runner.with_workers(1).run(&w).unwrap();
             assert_eq!(par.outputs, seq.outputs);
             assert_eq!(par.stats, seq.stats);
             // Any explicit worker count must not change the results,
@@ -450,7 +426,7 @@ mod tests {
         let mut w = workload(3, 6);
         w.seqs[1].clear();
         assert!(MemoizedRunner::exact().run(&w).is_err());
-        assert!(MemoizedRunner::exact().sequential().run(&w).is_err());
+        assert!(MemoizedRunner::exact().with_workers(1).run(&w).is_err());
         assert!(MemoizedRunner::exact().run_batched(&w, 2).is_err());
     }
 
@@ -469,11 +445,11 @@ mod tests {
     #[test]
     fn small_runs_fall_back_to_one_worker_but_stay_identical() {
         // Below the threshold the auto runner must behave exactly like
-        // the sequential runner (it IS a one-worker engine), and the
+        // `with_workers(1)` (both are one-worker engines), and the
         // explicit override must still match bit for bit.
         let w = workload(5, 8);
         let auto = MemoizedRunner::exact().run(&w).unwrap();
-        let seq = MemoizedRunner::exact().sequential().run(&w).unwrap();
+        let seq = MemoizedRunner::exact().with_workers(1).run(&w).unwrap();
         let forced = MemoizedRunner::exact().with_workers(3).run(&w).unwrap();
         assert_eq!(auto.outputs, seq.outputs);
         assert_eq!(auto.stats, seq.stats);
@@ -489,7 +465,7 @@ mod tests {
             MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4)),
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(1.0)),
         ] {
-            let reference = runner.sequential().run(&w).unwrap();
+            let reference = runner.with_workers(1).run(&w).unwrap();
             // 2 leaves lanes draining at different steps over 5
             // sequences; 8 exceeds the sequence count.
             for batch in [1usize, 2, 5, 8] {

@@ -28,7 +28,6 @@ mod neon;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86;
 
-use crate::autotune::{self, Blocking, ShapeKey, TunedKernel};
 use crate::backend::{self, KernelBackend};
 use crate::error::TensorError;
 use crate::matrix::Matrix;
@@ -546,225 +545,6 @@ pub fn matmul_add_into_on(
     Ok(())
 }
 
-/// [`matmul_into`] with an explicit traversal [`Blocking`] on an
-/// explicit dispatch tier — the raw entry the autotuner times.  Every
-/// blocking computes bit-identical outputs; only the traversal order of
-/// rows and lanes differs.
-///
-/// # Errors
-///
-/// Same as [`matmul_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_into_blocked_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-    blocking: Blocking,
-) -> Result<()> {
-    assert_supported(backend);
-    validate_matmul(m, xs, lanes, out)?;
-    dispatch!(
-        backend,
-        matmul_blocked(m.as_slice(), m.rows(), m.cols(), xs, lanes, out, blocking)
-    );
-    Ok(())
-}
-
-/// [`matmul_add_into`] with an explicit traversal [`Blocking`] on an
-/// explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`matmul_add_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_add_into_blocked_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &mut [f32],
-    blocking: Blocking,
-) -> Result<()> {
-    assert_supported(backend);
-    validate_matmul_add(m, xs, lanes, base, out)?;
-    dispatch!(
-        backend,
-        matmul_add_blocked(
-            m.as_slice(),
-            m.rows(),
-            m.cols(),
-            xs,
-            lanes,
-            base,
-            out,
-            blocking
-        )
-    );
-    Ok(())
-}
-
-/// [`dual_matmul_into`] with an explicit traversal [`Blocking`] on an
-/// explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`dual_matmul_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-#[allow(clippy::too_many_arguments)]
-pub fn dual_matmul_into_blocked_on(
-    backend: KernelBackend,
-    wx: &[f32],
-    wh: &[f32],
-    rows: usize,
-    xc: usize,
-    hc: usize,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-    blocking: Blocking,
-) -> Result<()> {
-    assert_supported(backend);
-    if wx.len() != rows * xc || wh.len() != rows * hc {
-        return Err(TensorError::LengthMismatch {
-            left: wx.len(),
-            right: rows * xc,
-            op: "dual_matmul_into_blocked(weights)",
-        });
-    }
-    if xs.len() != lanes * xc {
-        return Err(TensorError::ShapeMismatch {
-            rows,
-            cols: xc,
-            vec_len: xs.len(),
-            op: "dual_matmul_into_blocked(xs)",
-        });
-    }
-    if hs.len() != lanes * hc {
-        return Err(TensorError::ShapeMismatch {
-            rows,
-            cols: hc,
-            vec_len: hs.len(),
-            op: "dual_matmul_into_blocked(hs)",
-        });
-    }
-    if out.len() != lanes * rows {
-        return Err(TensorError::LengthMismatch {
-            left: out.len(),
-            right: lanes * rows,
-            op: "dual_matmul_into_blocked(out)",
-        });
-    }
-    dispatch!(
-        backend,
-        dual_matmul_blocked(wx, wh, rows, xc, hc, xs, hs, lanes, out, blocking)
-    );
-    Ok(())
-}
-
-/// [`matmul_into`] steered by the autotune cache: runs the recorded
-/// [`Blocking`] for this shape on the active tier, or the historical
-/// default ([`Blocking::Pair2`]) when untuned.  Bit-identical to
-/// [`matmul_into`] in either case.
-///
-/// # Errors
-///
-/// Same as [`matmul_into`].
-pub fn matmul_into_tuned(m: &Matrix, xs: &[f32], lanes: usize, out: &mut [f32]) -> Result<()> {
-    let backend = backend::active();
-    let blocking = autotune::blocking_for(&ShapeKey {
-        kernel: TunedKernel::Matmul,
-        rows: m.rows(),
-        xc: m.cols(),
-        hc: 0,
-        lanes,
-        backend,
-    });
-    matmul_into_blocked_on(backend, m, xs, lanes, out, blocking)
-}
-
-/// [`matmul_add_into`] steered by the autotune cache (see
-/// [`matmul_into_tuned`]).
-///
-/// # Errors
-///
-/// Same as [`matmul_add_into`].
-pub fn matmul_add_into_tuned(
-    m: &Matrix,
-    xs: &[f32],
-    lanes: usize,
-    base: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    let backend = backend::active();
-    let blocking = autotune::blocking_for(&ShapeKey {
-        kernel: TunedKernel::MatmulAdd,
-        rows: m.rows(),
-        xc: m.cols(),
-        hc: 0,
-        lanes,
-        backend,
-    });
-    matmul_add_into_blocked_on(backend, m, xs, lanes, base, out, blocking)
-}
-
-/// [`dual_matmul_into`] steered by the autotune cache: runs the
-/// recorded [`Blocking`] for this gate shape, or the historical default
-/// ([`Blocking::Quad4`]) when untuned.
-///
-/// # Errors
-///
-/// Same as [`dual_matmul_into`].
-pub fn dual_matmul_into_tuned(
-    wx: &Matrix,
-    wh: &Matrix,
-    xs: &[f32],
-    hs: &[f32],
-    lanes: usize,
-    out: &mut [f32],
-) -> Result<()> {
-    let backend = backend::active();
-    let blocking = autotune::blocking_for(&ShapeKey {
-        kernel: TunedKernel::DualMatmul,
-        rows: wx.rows(),
-        xc: wx.cols(),
-        hc: wh.cols(),
-        lanes,
-        backend,
-    });
-    validate_dual_matmul(wx, wh, xs, hs, lanes, out)?;
-    dispatch!(
-        backend,
-        dual_matmul_blocked(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.rows(),
-            wx.cols(),
-            wh.cols(),
-            xs,
-            hs,
-            lanes,
-            out,
-            blocking,
-        )
-    );
-    Ok(())
-}
-
 /// Lane-striped fused gate pre-activation:
 /// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l] + bias[r]`.
 ///
@@ -1189,182 +969,6 @@ mod tests {
             }
         }
         assert!(gate_preact_batch_into(&wx, &wh, &bias[..2], &xs, &hs, lanes, &mut out).is_err());
-    }
-
-    #[test]
-    fn every_blocking_is_bit_identical_on_every_backend() {
-        // The autotuner's whole safety argument: traversal blocking is
-        // a pure perf knob.  Exercise tile-edge shapes on every
-        // supported tier and every Blocking, pinning each output to the
-        // default-path result bit for bit.
-        let mut rng = DeterministicRng::seed_from_u64(31);
-        for (rows, xc, hc, lanes) in [
-            (9usize, 13usize, 9usize, 3usize),
-            (8, 16, 8, 4),
-            (4, 5, 4, 8),
-            (5, 33, 5, 1),
-            (16, 16, 16, 16),
-            (3, 7, 3, 2),
-        ] {
-            let wx = random_matrix(&mut rng, rows, xc);
-            let wh = random_matrix(&mut rng, rows, hc);
-            let xs: Vec<f32> = (0..lanes * xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let base: Vec<f32> = (0..lanes * rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
-
-            let mut mm_ref = vec![0.0f32; lanes * rows];
-            matmul_into_on(KernelBackend::Scalar, &wh, &hs, lanes, &mut mm_ref).unwrap();
-            let mut ma_ref = vec![0.0f32; lanes * rows];
-            matmul_add_into_on(KernelBackend::Scalar, &wh, &hs, lanes, &base, &mut ma_ref).unwrap();
-            let mut dm_ref = vec![0.0f32; lanes * rows];
-            dual_matmul_into_on(
-                KernelBackend::Scalar,
-                &wx,
-                &wh,
-                &xs,
-                &hs,
-                lanes,
-                &mut dm_ref,
-            )
-            .unwrap();
-
-            for backend in KernelBackend::supported() {
-                for blocking in Blocking::ALL {
-                    let tag = format!("{rows}x{xc}x{hc}x{lanes} {backend} {blocking:?}");
-                    let mut out = vec![0.0f32; lanes * rows];
-                    matmul_into_blocked_on(backend, &wh, &hs, lanes, &mut out, blocking).unwrap();
-                    assert!(
-                        out.iter()
-                            .zip(&mm_ref)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "matmul {tag}"
-                    );
-                    matmul_add_into_blocked_on(backend, &wh, &hs, lanes, &base, &mut out, blocking)
-                        .unwrap();
-                    assert!(
-                        out.iter()
-                            .zip(&ma_ref)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "matmul_add {tag}"
-                    );
-                    dual_matmul_into_blocked_on(
-                        backend,
-                        wx.as_slice(),
-                        wh.as_slice(),
-                        rows,
-                        xc,
-                        hc,
-                        &xs,
-                        &hs,
-                        lanes,
-                        &mut out,
-                        blocking,
-                    )
-                    .unwrap();
-                    assert!(
-                        out.iter()
-                            .zip(&dm_ref)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "dual_matmul {tag}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tuned_entry_points_follow_recorded_blocking_and_stay_bit_identical() {
-        let mut rng = DeterministicRng::seed_from_u64(32);
-        let (rows, xc, hc, lanes) = (11, 9, 11, 6);
-        let wx = random_matrix(&mut rng, rows, xc);
-        let wh = random_matrix(&mut rng, rows, hc);
-        let xs: Vec<f32> = (0..lanes * xc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let base: Vec<f32> = (0..lanes * rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
-
-        let mut reference = vec![0.0f32; lanes * rows];
-        dual_matmul_into(&wx, &wh, &xs, &hs, lanes, &mut reference).unwrap();
-
-        // Untuned (no cache entry for this unique shape) and with every
-        // recorded blocking, the tuned path matches the fixed kernel.
-        for recorded in [None, Some(Blocking::Plain), Some(Blocking::Pair2)] {
-            if let Some(b) = recorded {
-                autotune::record(
-                    ShapeKey {
-                        kernel: TunedKernel::DualMatmul,
-                        rows,
-                        xc,
-                        hc,
-                        lanes,
-                        backend: backend::active(),
-                    },
-                    b,
-                );
-            }
-            let mut out = vec![0.0f32; lanes * rows];
-            dual_matmul_into_tuned(&wx, &wh, &xs, &hs, lanes, &mut out).unwrap();
-            assert!(
-                out.iter()
-                    .zip(&reference)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "dual tuned, recorded {recorded:?}"
-            );
-        }
-
-        let mut mm_ref = vec![0.0f32; lanes * rows];
-        matmul_into(&wh, &hs, lanes, &mut mm_ref).unwrap();
-        let mut out = vec![0.0f32; lanes * rows];
-        matmul_into_tuned(&wh, &hs, lanes, &mut out).unwrap();
-        assert!(out
-            .iter()
-            .zip(&mm_ref)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-
-        let mut ma_ref = vec![0.0f32; lanes * rows];
-        matmul_add_into(&wh, &hs, lanes, &base, &mut ma_ref).unwrap();
-        matmul_add_into_tuned(&wh, &hs, lanes, &base, &mut out).unwrap();
-        assert!(out
-            .iter()
-            .zip(&ma_ref)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn blocked_entry_points_validate_shapes() {
-        let m = Matrix::zeros(2, 3);
-        let mut out = vec![0.0; 4];
-        let b = Blocking::Plain;
-        let be = KernelBackend::Scalar;
-        assert!(matmul_into_blocked_on(be, &m, &[0.0; 5], 2, &mut out, b).is_err());
-        assert!(matmul_add_into_blocked_on(be, &m, &[0.0; 6], 2, &[0.0; 3], &mut out, b).is_err());
-        let wx = vec![0.0; 6];
-        let wh = vec![0.0; 4];
-        assert!(dual_matmul_into_blocked_on(
-            be, &wx, &wh, 2, 3, 2, &[0.0; 5], &[0.0; 4], 2, &mut out, b
-        )
-        .is_err());
-        assert!(dual_matmul_into_blocked_on(
-            be, &wx, &wh, 2, 3, 2, &[0.0; 6], &[0.0; 3], 2, &mut out, b
-        )
-        .is_err());
-        assert!(dual_matmul_into_blocked_on(
-            be,
-            &wx[..5],
-            &wh,
-            2,
-            3,
-            2,
-            &[0.0; 6],
-            &[0.0; 4],
-            2,
-            &mut out,
-            b
-        )
-        .is_err());
-        assert!(dual_matmul_into_blocked_on(
-            be, &wx, &wh, 2, 3, 2, &[0.0; 6], &[0.0; 4], 2, &mut out, b
-        )
-        .is_ok());
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! exactly the sequential runner's outputs and statistics.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, InferenceWorkload, MemoizedRunner, OracleEvaluator,
-    OracleMemoConfig, ReuseStats,
-};
+use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, PerNeuronEvaluator};
+use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 
@@ -201,7 +199,7 @@ fn parallel_runner_matches_sequential_exactly() {
         // on single-core hosts, and exercise uneven chunking (9 seqs / 4
         // workers).
         let par = runner.with_workers(4).run(&w).unwrap();
-        let seq = runner.sequential().run(&w).unwrap();
+        let seq = runner.with_workers(1).run(&w).unwrap();
         assert_eq!(par.outputs.len(), seq.outputs.len());
         for (a, b) in par.outputs.iter().zip(seq.outputs.iter()) {
             assert_bit_identical("runner", a, b);

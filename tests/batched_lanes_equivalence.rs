@@ -9,10 +9,9 @@
 //! wave.
 
 use nfm::bnn::BinaryNetwork;
-use nfm::memo::{
-    BnnMemoConfig, BnnMemoEvaluator, InferenceWorkload, MemoizedRunner, OracleMemoConfig,
-};
+use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleMemoConfig};
 use nfm::rnn::{CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, PerNeuronEvaluator};
+use nfm::serve::{InferenceWorkload, MemoizedRunner};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Vector;
 
@@ -122,7 +121,7 @@ fn assert_bit_identical(name: &str, batched: &[Vec<Vector>], reference: &[Vec<Ve
 fn exact_run_batched_is_bit_identical_to_per_sequence() {
     for (name, net) in networks() {
         let w = workload(net, 100);
-        let reference = MemoizedRunner::exact().sequential().run(&w).unwrap();
+        let reference = MemoizedRunner::exact().with_workers(1).run(&w).unwrap();
         for batch in [1usize, 2, 3] {
             let batched = MemoizedRunner::exact().run_batched(&w, batch).unwrap();
             assert_bit_identical(
@@ -144,7 +143,7 @@ fn bnn_run_batched_is_bit_identical_and_memo_hits_match() {
         for (name, net) in networks() {
             let w = workload(net, 200);
             let runner = MemoizedRunner::bnn(BnnMemoConfig::with_threshold(theta));
-            let reference = runner.sequential().run(&w).unwrap();
+            let reference = runner.with_workers(1).run(&w).unwrap();
             for batch in [1usize, 2, 3] {
                 let batched = runner.run_batched(&w, batch).unwrap();
                 assert_bit_identical(
@@ -173,7 +172,7 @@ fn oracle_run_batched_matches_per_sequence_too() {
     for (name, net) in networks() {
         let w = workload(net, 300);
         let runner = MemoizedRunner::oracle(OracleMemoConfig::with_threshold(0.4));
-        let reference = runner.sequential().run(&w).unwrap();
+        let reference = runner.with_workers(1).run(&w).unwrap();
         for batch in [1usize, 3] {
             let batched = runner.run_batched(&w, batch).unwrap();
             assert_bit_identical(

@@ -19,7 +19,8 @@
 //!   multi_model equivalence suites) once per backend, and diffs a
 //!   deterministic example's output across tiers cross-process.
 
-use nfm::memo::{BnnMemoConfig, MemoizedRunner, OracleMemoConfig};
+use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
+use nfm::serve::MemoizedRunner;
 use nfm::tensor::backend::KernelBackend;
 use nfm::tensor::kernels::{dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on};
 use nfm::tensor::rng::DeterministicRng;
@@ -104,8 +105,8 @@ fn whole_workload_runs_are_deterministic_under_dispatch() {
             MemoizedRunner::bnn(BnnMemoConfig::with_threshold(0.5)),
         ),
     ] {
-        let a = runner.sequential().run(&w).expect("first run");
-        let b = runner.sequential().run(&w).expect("second run");
+        let a = runner.with_workers(1).run(&w).expect("first run");
+        let b = runner.with_workers(1).run(&w).expect("second run");
         assert_eq!(a.stats, b.stats, "{name}: stats drifted between runs");
         assert_eq!(
             a.outputs.len(),

@@ -120,7 +120,7 @@ fn midwave_refill_is_bit_identical_to_per_sequence_and_wave_refill() {
         let seqs = ragged_sequences(&net, 100);
         for (pred_name, predictor) in predictors() {
             // Per-sequence reference: one dedicated run per sequence.
-            let runner = runner_for(predictor).sequential();
+            let runner = runner_for(predictor).with_workers(1);
             let mut reference: Vec<(Vec<Vector>, ReuseStats)> = Vec::new();
             for seq in &seqs {
                 struct One<'a> {
