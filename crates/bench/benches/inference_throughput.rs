@@ -9,8 +9,9 @@
 //!
 //! Three exact-inference variants are measured:
 //!
-//! * `inference/exact/*` — the batched path: one `evaluate_gate` call
-//!   per gate, fused dual matvec kernels, reused scratch buffers.
+//! * `inference/exact/*` — `DeepRnn::run`, the one-lane batch driver:
+//!   one `evaluate_gate_batch` call per gate, block-hoisted `W_x·x_t`
+//!   projections, fused lane-striped kernels, reused scratch buffers.
 //! * `inference/exact_per_neuron/*` — the trait's per-neuron fallback
 //!   (one virtual call per neuron) over the same vectorized dot kernel.
 //! * `inference/exact_naive/*` — a faithful reproduction of the seed hot
@@ -767,10 +768,9 @@ fn main() {
         });
     }
 
-    // The cross-sequence parallel runner on a many-sequence workload.
-    // Measured interleaved: the spawn-amortization heuristic routes this
-    // small workload onto the calling thread, so the two sides run the
-    // same code and only drift could separate them.
+    // The cross-sequence parallel runner on a many-sequence workload:
+    // one engine worker against one per available core, measured
+    // interleaved so host drift hits both sides alike.
     let fanout = workload(NetworkId::ImdbSentiment, 0.5, 8, 32);
     bench.bench_pair(
         "runner/sequential",
@@ -826,18 +826,20 @@ fn main() {
                     black_box(&db),
                 ))
             });
-            bench.bench(&format!("kernel/matvec/{backend}"), || {
-                kernels::matvec_into_on(backend, black_box(&wx), black_box(&x), &mut single_out)
+            // One lane: the single-sequence shapes, rows paired.
+            bench.bench(&format!("kernel/matmul_1l/{backend}"), || {
+                kernels::matmul_into_on(backend, black_box(&wx), black_box(&x), 1, &mut single_out)
                     .unwrap();
                 black_box(single_out[0])
             });
-            bench.bench(&format!("kernel/dual_matvec/{backend}"), || {
-                kernels::dual_matvec_into_on(
+            bench.bench(&format!("kernel/dual_matmul_1l/{backend}"), || {
+                kernels::dual_matmul_into_on(
                     backend,
                     black_box(&wx),
                     black_box(&wh),
                     black_box(&x),
                     black_box(&h),
+                    1,
                     &mut single_out,
                 )
                 .unwrap();
@@ -857,7 +859,7 @@ fn main() {
                 black_box(batch_out[0])
             });
             if backend != KernelBackend::Scalar {
-                for kernel in ["dot_1024", "matvec", "dual_matvec", "dual_matmul_8l"] {
+                for kernel in ["dot_1024", "matmul_1l", "dual_matmul_1l", "dual_matmul_8l"] {
                     pairs.push((
                         format!("kernel/{kernel}/scalar"),
                         format!("kernel/{kernel}/{backend}"),

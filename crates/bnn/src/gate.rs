@@ -180,12 +180,8 @@ impl BinaryGate {
     }
 
     /// Every neuron's binary output in one call:
-    /// `out[n] = neuron_output(n, xb, hb)` — the whole-gate form the
-    /// memoizing evaluators run every timestep.  One call dispatches
-    /// the popcount tier once and keeps the per-row XNOR-popcounts
-    /// inlined, instead of paying the dispatch boundary twice per
-    /// neuron (mirror rows are only a few words wide, so that overhead
-    /// rivals the popcounts themselves).
+    /// `out[n] = neuron_output(n, xb, hb)` — a one-lane
+    /// [`BinaryGate::neuron_outputs_batch_into`].
     ///
     /// # Errors
     ///
@@ -197,52 +193,19 @@ impl BinaryGate {
         hb: &BitVector,
         out: &mut [i32],
     ) -> Result<()> {
-        if xb.len() != self.input_size {
-            return Err(crate::BnnError::LengthMismatch {
-                left: xb.len(),
-                right: self.input_size,
-            });
-        }
-        if hb.len() != self.hidden_size {
-            return Err(crate::BnnError::LengthMismatch {
-                left: hb.len(),
-                right: self.hidden_size,
-            });
-        }
-        if out.len() != self.neurons() {
-            return Err(crate::BnnError::LengthMismatch {
-                left: out.len(),
-                right: self.neurons(),
-            });
-        }
-        self.neuron_outputs_unchecked_into(xb, hb, out);
-        Ok(())
-    }
-
-    /// Check-free variant of [`BinaryGate::neuron_outputs_into`] for
-    /// callers that validated the widths once per gate invocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any dimension does not match.
-    #[inline]
-    pub fn neuron_outputs_unchecked_into(&self, xb: &BitVector, hb: &BitVector, out: &mut [i32]) {
-        debug_assert_eq!(xb.len(), self.input_size);
-        debug_assert_eq!(hb.len(), self.hidden_size);
-        debug_assert_eq!(out.len(), self.neurons());
-        crate::popcount::gate_outputs(&self.wx_rows, &self.wh_rows, xb, hb, out);
+        self.neuron_outputs_batch_into(std::slice::from_ref(xb), std::slice::from_ref(hb), out)
     }
 
     /// Every neuron's binary output for **all** lanes of a batch in one
     /// call, lane-striped:
     /// `out[l * neurons + n] = neuron_output(n, &xbs[l], &hbs[l])`.
     ///
-    /// This is the multi-sequence form of
-    /// [`BinaryGate::neuron_outputs_into`]: one dispatched XNOR-popcount
-    /// call per gate per wave, with each binary weight row streamed once
-    /// and reused across every lane (row-outer, lane-inner — the binary
-    /// analogue of the f32 `matmul` kernels).  Popcounts are
-    /// integer-exact, so every lane equals the single-lane call.
+    /// One dispatched XNOR-popcount call per gate per wave (one tight
+    /// row loop per lane over the cache-resident mirror rows), instead
+    /// of paying the dispatch boundary twice per neuron (mirror rows are
+    /// only a few words wide, so that overhead rivals the popcounts
+    /// themselves).  Popcounts are integer-exact, so every lane equals
+    /// the per-neuron [`BinaryGate::neuron_output`].
     ///
     /// # Errors
     ///

@@ -174,7 +174,7 @@ fn scalar_agreements(a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// One whole XNOR-popcount dot (full words + masked tail), written to
-/// inline into the per-tier gate loops below.
+/// inline into the per-tier gate loop below.
 #[inline(always)]
 fn xnor_dot_words(a: &[u64], b: &[u64], len_bits: usize) -> i32 {
     debug_assert_eq!(a.len(), b.len());
@@ -191,67 +191,22 @@ fn xnor_dot_words(a: &[u64], b: &[u64], len_bits: usize) -> i32 {
     2 * agreements as i32 - len_bits as i32
 }
 
-/// Every neuron's mirror output of one gate —
-/// `out[n] = xnor_dot(wx_rows[n], xb) + xnor_dot(wh_rows[n], hb)` — in
-/// **one** dispatched call, so the tier decision and the
+/// Every neuron of one gate for **all** lanes in one dispatched call,
+/// lane-striped — `out[l * rows + n] = xnor_dot(wx_rows[n], xbs[l]) +
+/// xnor_dot(wh_rows[n], hbs[l])` — so the tier decision and the
 /// `#[target_feature]` call boundary are paid once per gate invocation
 /// instead of twice per neuron (BNN-mirror rows are only a few words
 /// wide, so per-row dispatch overhead rivals the popcounts themselves).
+/// One lane is the single-sequence case.
 ///
-/// The caller (`BinaryGate`) has validated the operand widths; row `n`
-/// of each family must match `xb` / `hb` in length.
-pub(crate) fn gate_outputs(
-    wx_rows: &[crate::BitVector],
-    wh_rows: &[crate::BitVector],
-    xb: &crate::BitVector,
-    hb: &crate::BitVector,
-    out: &mut [i32],
-) {
-    debug_assert_eq!(wx_rows.len(), out.len());
-    debug_assert_eq!(wh_rows.len(), out.len());
-    match active() {
-        PopcountBackend::Scalar => scalar_gate_outputs(wx_rows, wh_rows, xb, hb, out),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: dispatch reaches these arms only for supported tiers,
-        // and both imply the `popcnt` feature.  The rows of a mirror
-        // gate are short, so the row-wise `popcnt` loop is the right
-        // kernel even on the vpopcntdq tier (which pays off on long
-        // single vectors, not 1–3-word rows).
-        PopcountBackend::Popcnt | PopcountBackend::Vpopcntdq => unsafe {
-            x86::popcnt_gate_outputs(wx_rows, wh_rows, xb, hb, out)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // `u64::count_ones` lowers to NEON `cnt` on aarch64 baseline.
-        PopcountBackend::Neon => scalar_gate_outputs(wx_rows, wh_rows, xb, hb, out),
-        #[allow(unreachable_patterns)]
-        other => unreachable!("popcount backend {other} is not compiled for this target"),
-    }
-}
-
-fn scalar_gate_outputs(
-    wx_rows: &[crate::BitVector],
-    wh_rows: &[crate::BitVector],
-    xb: &crate::BitVector,
-    hb: &crate::BitVector,
-    out: &mut [i32],
-) {
-    let (xw, xl) = (xb.word_slice(), xb.len());
-    let (hw, hl) = (hb.word_slice(), hb.len());
-    for ((o, wx), wh) in out.iter_mut().zip(wx_rows.iter()).zip(wh_rows.iter()) {
-        *o = xnor_dot_words(wx.word_slice(), xw, xl) + xnor_dot_words(wh.word_slice(), hw, hl);
-    }
-}
-
-/// The multi-lane form of [`gate_outputs`]: every neuron of one gate
-/// for **all** lanes in one dispatched call, lane-striped —
-/// `out[l * rows + n] = xnor_dot(wx_rows[n], xbs[l]) +
-/// xnor_dot(wh_rows[n], hbs[l])`.
-///
-/// The row loop is *outer* and the lane loop *inner*, mirroring the f32
-/// `matmul` kernels: each binary weight row's words are loaded once and
-/// reused for every lane while they sit in registers/L1, instead of
-/// re-streaming the whole mirror gate once per lane.  Popcounts are
-/// integer-exact, so the reordering cannot change any value.
+/// The lane loop is *outer*: each lane's packed words are resolved once
+/// and the whole gate runs as one tight row loop per lane.  A mirror
+/// gate is a few to a few tens of KiB of sign words, so its rows stay
+/// cache-resident across the lanes of a call; measured on this
+/// project's gate shapes (1–16 lanes), streaming each row across the
+/// lanes instead (row-outer) was no faster at any lane count and a
+/// third slower at one lane.  Popcounts are integer-exact, so the
+/// traversal cannot change any value.
 ///
 /// The caller (`BinaryGate`) has validated the operand widths; every
 /// `xbs[l]` / `hbs[l]` must match row widths, `xbs.len() == hbs.len()`,
@@ -305,36 +260,40 @@ fn gate_outputs_lanes_dispatch(
     debug_assert_eq!(xbs.len(), hbs.len());
     debug_assert_eq!(out.len(), xbs.len() * wx_rows.len());
     match backend {
-        PopcountBackend::Scalar => scalar_gate_outputs_lanes(wx_rows, wh_rows, xbs, hbs, out),
+        PopcountBackend::Scalar => gate_outputs_lanes_body(wx_rows, wh_rows, xbs, hbs, out),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: dispatch reaches these arms only for supported tiers,
-        // and both imply the `popcnt` feature (same rationale as
-        // `gate_outputs`: mirror rows are 1–3 words, so the row-wise
-        // `popcnt` loop beats the wide vpopcntdq kernel here).
+        // and both imply the `popcnt` feature.  The rows of a mirror
+        // gate are short, so the row-wise `popcnt` loop is the right
+        // kernel even on the vpopcntdq tier (which pays off on long
+        // single vectors, not 1–3-word rows).
         PopcountBackend::Popcnt | PopcountBackend::Vpopcntdq => unsafe {
             x86::popcnt_gate_outputs_lanes(wx_rows, wh_rows, xbs, hbs, out)
         },
         #[cfg(target_arch = "aarch64")]
         // `u64::count_ones` lowers to NEON `cnt` on aarch64 baseline.
-        PopcountBackend::Neon => scalar_gate_outputs_lanes(wx_rows, wh_rows, xbs, hbs, out),
+        PopcountBackend::Neon => gate_outputs_lanes_body(wx_rows, wh_rows, xbs, hbs, out),
         #[allow(unreachable_patterns)]
         other => unreachable!("popcount backend {other} is not compiled for this target"),
     }
 }
 
-fn scalar_gate_outputs_lanes(
+/// The shared loop of [`gate_outputs_lanes`]: per lane, one row loop
+/// over the whole gate with that lane's words resolved up front.
+#[inline(always)]
+fn gate_outputs_lanes_body(
     wx_rows: &[crate::BitVector],
     wh_rows: &[crate::BitVector],
     xbs: &[crate::BitVector],
     hbs: &[crate::BitVector],
     out: &mut [i32],
 ) {
-    let rows = wx_rows.len();
-    for (n, (wx, wh)) in wx_rows.iter().zip(wh_rows.iter()).enumerate() {
-        let (xw_row, hw_row) = (wx.word_slice(), wh.word_slice());
-        for (l, (xb, hb)) in xbs.iter().zip(hbs.iter()).enumerate() {
-            out[l * rows + n] = xnor_dot_words(xw_row, xb.word_slice(), xb.len())
-                + xnor_dot_words(hw_row, hb.word_slice(), hb.len());
+    let rows = wx_rows.len().max(1);
+    for ((xb, hb), out) in xbs.iter().zip(hbs).zip(out.chunks_exact_mut(rows)) {
+        let (xw, xl) = (xb.word_slice(), xb.len());
+        let (hw, hl) = (hb.word_slice(), hb.len());
+        for ((o, wx), wh) in out.iter_mut().zip(wx_rows).zip(wh_rows) {
+            *o = xnor_dot_words(wx.word_slice(), xw, xl) + xnor_dot_words(wh.word_slice(), hw, hl);
         }
     }
 }
@@ -362,33 +321,9 @@ mod x86 {
         agreements
     }
 
-    /// The whole-gate row loop with hardware `popcnt` enabled: the
-    /// per-row dots inline into one `#[target_feature]` body, so the
-    /// dispatch cost is per gate, not per row.
-    ///
-    /// # Safety
-    ///
-    /// Requires `popcnt`.
-    #[target_feature(enable = "popcnt")]
-    pub(super) unsafe fn popcnt_gate_outputs(
-        wx_rows: &[crate::BitVector],
-        wh_rows: &[crate::BitVector],
-        xb: &crate::BitVector,
-        hb: &crate::BitVector,
-        out: &mut [i32],
-    ) {
-        let (xw, xl) = (xb.word_slice(), xb.len());
-        let (hw, hl) = (hb.word_slice(), hb.len());
-        for ((o, wx), wh) in out.iter_mut().zip(wx_rows.iter()).zip(wh_rows.iter()) {
-            *o = super::xnor_dot_words(wx.word_slice(), xw, xl)
-                + super::xnor_dot_words(wh.word_slice(), hw, hl);
-        }
-    }
-
-    /// The multi-lane row loop with hardware `popcnt` enabled: one
+    /// The whole-gate loop with hardware `popcnt` enabled: one
     /// `#[target_feature]` body covers every (neuron, lane) dot of a
-    /// gate invocation, streaming each weight row once across all
-    /// lanes.
+    /// gate invocation.
     ///
     /// # Safety
     ///
@@ -401,14 +336,7 @@ mod x86 {
         hbs: &[crate::BitVector],
         out: &mut [i32],
     ) {
-        let rows = wx_rows.len();
-        for (n, (wx, wh)) in wx_rows.iter().zip(wh_rows.iter()).enumerate() {
-            let (xw_row, hw_row) = (wx.word_slice(), wh.word_slice());
-            for (l, (xb, hb)) in xbs.iter().zip(hbs.iter()).enumerate() {
-                out[l * rows + n] = super::xnor_dot_words(xw_row, xb.word_slice(), xb.len())
-                    + super::xnor_dot_words(hw_row, hb.word_slice(), hb.len());
-            }
-        }
+        super::gate_outputs_lanes_body(wx_rows, wh_rows, xbs, hbs, out)
     }
 
     /// 8 words per operation: one `vpternlogq` computes the XNOR, one

@@ -222,21 +222,6 @@ impl NeuronEvaluator for AdaptiveEvaluator {
         self.inner.evaluate(neuron, gate, x, h_prev)
     }
 
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        self.inner
-            .evaluate_gate(gate_id, timestep, gate, x, h_prev, out)?;
-        self.after_gate_call();
-        Ok(())
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn evaluate_gate_batch(
         &mut self,
@@ -283,6 +268,10 @@ impl NeuronEvaluator for AdaptiveEvaluator {
     }
 
     fn begin_batch(&mut self, lanes: usize) {
+        // A batched run (every `DeepRnn::run` is a one-lane one) starts
+        // a fresh sync cadence, so its θ trajectory does not depend on
+        // where the previous run stopped inside a block.
+        self.calls_in_block = 0;
         self.inner.begin_batch(lanes);
         self.sync();
     }

@@ -15,15 +15,14 @@ use nfm_tensor::vector::relative_difference;
 /// limit study of Figures 1 and 16.  When a reuse is possible the oracle
 /// returns the *cached* value, so the accuracy impact of oracle-guided
 /// memoization is faithfully propagated through the network.
-/// Under multi-sequence batched inference every lane owns a separate
-/// [`MemoTable`] (see the batched-path notes on
-/// [`BnnMemoEvaluator`](crate::BnnMemoEvaluator)): the oracle's batched
-/// override computes all lanes' true outputs with one lane-striped dual
-/// matrix product, then walks each lane's own table.
+/// Every lane owns a separate [`MemoTable`] (see the batched-path notes
+/// on [`BnnMemoEvaluator`](crate::BnnMemoEvaluator)): the oracle's
+/// batched override computes all lanes' true outputs with one
+/// lane-striped dual matrix product, then walks each lane's own table.
+/// The per-neuron path uses lane 0's table.
 #[derive(Debug, Clone)]
 pub struct OracleEvaluator {
     config: OracleMemoConfig,
-    table: MemoTable,
     stats: ReuseStats,
     lane_tables: Vec<MemoTable>,
     // Per-lane accounting for the batched path, so a serving engine can
@@ -38,22 +37,19 @@ impl OracleEvaluator {
     pub fn new(config: OracleMemoConfig) -> Self {
         OracleEvaluator {
             config,
-            table: MemoTable::new(),
             stats: ReuseStats::new(),
-            lane_tables: Vec::new(),
-            lane_stats: Vec::new(),
+            lane_tables: vec![MemoTable::new()],
+            lane_stats: vec![ReuseStats::new()],
         }
     }
 
-    /// Creates an oracle evaluator with the memo table pre-laid-out for
-    /// `network`, so the hot path never appends to the buffer.
+    /// Creates an oracle evaluator with lane 0's memo table
+    /// pre-laid-out for `network`, so a one-lane run never appends to
+    /// the buffer.
     pub fn for_network(network: &DeepRnn, config: OracleMemoConfig) -> Self {
         OracleEvaluator {
-            config,
-            table: MemoTable::for_network(network),
-            stats: ReuseStats::new(),
-            lane_tables: Vec::new(),
-            lane_stats: Vec::new(),
+            lane_tables: vec![MemoTable::for_network(network)],
+            ..OracleEvaluator::new(config)
         }
     }
 
@@ -73,20 +69,20 @@ impl OracleEvaluator {
         self.stats.reset();
     }
 
-    /// Borrow the memoization table (diagnostics only).
+    /// Borrow lane 0's memoization table: the table of the last
+    /// [`DeepRnn::run`] and of the per-neuron path (diagnostics only).
     pub fn table(&self) -> &MemoTable {
-        &self.table
+        &self.lane_tables[0]
     }
 
-    /// Borrow the per-lane memoization tables of the batched path
-    /// (diagnostics only; empty until a batched run sized them).
+    /// Borrow the per-lane memoization tables (diagnostics only; one
+    /// until a batched run sized more).
     pub fn lane_tables(&self) -> &[MemoTable] {
         &self.lane_tables
     }
 
     /// Per-lane reuse statistics of the batched path, accumulated since
-    /// each lane's last `begin_lane_sequence` (empty until a batched
-    /// run sized the lanes).  The aggregate [`stats`](Self::stats)
+    /// each lane's last `begin_lane_sequence`.  The aggregate [`stats`](Self::stats)
     /// includes everything recorded here.
     pub fn lane_stats(&self) -> &[ReuseStats] {
         &self.lane_stats
@@ -132,50 +128,19 @@ impl NeuronEvaluator for OracleEvaluator {
     ) -> RnnResult<f32> {
         // The oracle always knows the true output.
         let y_t = gate.neuron_dot(neuron.neuron, x, h_prev)?;
-        if let Some(entry) = self.table.get(neuron.gate_id, neuron.neuron) {
+        let table = &mut self.lane_tables[0];
+        if let Some(entry) = table.get(neuron.gate_id, neuron.neuron) {
             let delta = relative_difference(y_t, entry.cached_output, self.config.epsilon);
             if delta <= self.config.threshold {
                 self.stats.record_reused();
-                let cached = self
-                    .table
-                    .record_reuse(neuron.gate_id, neuron.neuron, delta);
-                return Ok(cached);
+                return Ok(table.record_reuse(neuron.gate_id, neuron.neuron, delta));
             }
         }
         self.stats.record_computed();
         // The oracle does not use a BNN; store the output itself in the
         // BNN slot so the entry layout stays uniform.
-        self.table.refresh(neuron.gate_id, neuron.neuron, y_t, y_t);
+        table.refresh(neuron.gate_id, neuron.neuron, y_t, y_t);
         Ok(y_t)
-    }
-
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        _timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        // The oracle always knows the true outputs: one fused dual
-        // matvec for the whole gate (bit-identical to per-neuron dots).
-        gate.preactivate_into(x, h_prev, out)?;
-        let handle = self.table.gate_handle(gate_id, gate.neurons());
-        for (n, y) in out.iter_mut().enumerate() {
-            let y_t = *y;
-            if let Some(entry) = self.table.entry(handle, n) {
-                let delta = relative_difference(y_t, entry.cached_output, self.config.epsilon);
-                if delta <= self.config.threshold {
-                    self.stats.record_reused();
-                    *y = self.table.reuse_at(handle, n, delta);
-                    continue;
-                }
-            }
-            self.stats.record_computed();
-            self.table.refresh_at(handle, n, y_t, y_t);
-        }
-        Ok(())
     }
 
     fn evaluate_gate_batch(
@@ -189,7 +154,7 @@ impl NeuronEvaluator for OracleEvaluator {
         out: &mut [f32],
     ) -> RnnResult<()> {
         // One lane-striped dual matrix product computes every lane's
-        // true outputs (bit-identical per lane to the fused matvec).
+        // true outputs (bit-identical per lane to the per-neuron dots).
         nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
         assert!(
             self.lane_tables.len() >= lanes,
@@ -224,7 +189,7 @@ impl NeuronEvaluator for OracleEvaluator {
     }
 
     fn begin_sequence(&mut self) {
-        self.table.clear();
+        self.begin_lane_sequence(0);
     }
 
     fn begin_batch(&mut self, lanes: usize) {
@@ -237,10 +202,6 @@ impl NeuronEvaluator for OracleEvaluator {
     }
 
     fn begin_lane_sequence(&mut self, lane: usize) {
-        // Keep the single-sequence table cold too: a wrapper may route
-        // batched evaluation through the per-neuron path, which reads
-        // and writes `self.table` (see the BnnMemoEvaluator note).
-        self.table.clear();
         self.lane_tables[lane].clear();
         self.lane_stats[lane].reset();
     }

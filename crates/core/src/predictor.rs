@@ -6,6 +6,7 @@ use crate::stats::ReuseStats;
 use crate::table::{GateHandle, MemoTable};
 use nfm_bnn::{BinaryNetwork, BitVector};
 use nfm_rnn::{Gate, GateId, NeuronEvaluator, NeuronRef, Result as RnnResult};
+use nfm_tensor::kernels::dot_quad_unchecked;
 use nfm_tensor::vector::relative_difference;
 use std::sync::Arc;
 
@@ -23,20 +24,20 @@ use std::sync::Arc;
 ///    evaluated exactly and the memoization entry is refreshed
 ///    (Equations 14–17).
 ///
-/// The batched [`NeuronEvaluator::evaluate_gate`] path binarizes the
-/// gate inputs exactly once per invocation into reusable buffers (zero
-/// `BitVector` clones or allocations) and walks the flat memo table with
-/// a pre-resolved gate handle; the per-neuron path remains available for
+/// The batched path ([`NeuronEvaluator::evaluate_gate_batch`]; a
+/// single sequence is one lane) binarizes every lane's gate inputs
+/// exactly once per invocation into reusable buffers (zero `BitVector`
+/// clones or allocations) and walks the flat memo tables with
+/// pre-resolved gate handles; the per-neuron path remains available for
 /// custom drivers and is bit-identical.
 ///
-/// Under multi-sequence batched inference
-/// ([`NeuronEvaluator::evaluate_gate_batch`]) every lane owns a
-/// **separate** [`MemoTable`] (the paper's buffer holds no state across
-/// independent inputs, so lanes must not share entries): `begin_batch`
-/// sizes the per-lane tables from the mirror's gate shapes and
-/// `begin_lane_sequence` clears exactly one lane's table, making lane
-/// `l` of a batched run bit-identical — outputs, reuse statistics and
-/// memo-hit sequence — to a dedicated single-sequence run.
+/// Every lane owns a **separate** [`MemoTable`] (the paper's buffer
+/// holds no state across independent inputs, so lanes must not share
+/// entries): `begin_batch` sizes the per-lane tables from the mirror's
+/// gate shapes and `begin_lane_sequence` clears exactly one lane's
+/// table, making lane `l` of a batched run bit-identical — outputs,
+/// reuse statistics and memo-hit sequence — to a dedicated one-lane
+/// run.  The per-neuron path uses lane 0's state.
 #[derive(Debug, Clone)]
 pub struct BnnMemoEvaluator {
     // Arc-shared: the mirror depends only on the trained weights, so
@@ -44,20 +45,17 @@ pub struct BnnMemoEvaluator {
     // threshold variant) consults one prebuilt copy.
     mirror: Arc<BinaryNetwork>,
     config: BnnMemoConfig,
-    table: MemoTable,
     stats: ReuseStats,
-    // Binarized inputs are shared by every neuron of the same gate at the
-    // same timestep; cache them to binarize once per gate invocation,
-    // mirroring the FMU's single concatenated input vector.
+    // Per-neuron path only: binarized inputs are shared by every neuron
+    // of the same gate at the same timestep; cache them to binarize
+    // once per gate, mirroring the FMU's single concatenated input
+    // vector.
     input_cache: Option<InputCache>,
-    // Reusable scratch for the batched path (no per-gate allocation).
-    xb: BitVector,
-    hb: BitVector,
-    // Whole-gate mirror outputs, filled by one dispatched
+    // Whole-gate mirror outputs of every lane, filled by one dispatched
     // XNOR-popcount call per gate invocation.
     yb: Vec<i32>,
-    // Per-lane state for multi-sequence batched inference: one memo
-    // table per lane plus reusable binarization scratch per lane.
+    // Per-lane state: one memo table per lane (lane 0 also serves the
+    // per-neuron path) plus reusable binarization scratch per lane.
     lane_tables: Vec<MemoTable>,
     lane_xb: Vec<BitVector>,
     lane_hb: Vec<BitVector>,
@@ -65,14 +63,11 @@ pub struct BnnMemoEvaluator {
     // attribute reuse statistics to the request occupying each lane.
     // `stats` still aggregates everything.
     lane_stats: Vec<ReuseStats>,
-    // Scratch for the neuron-outer batched decision loop: pre-resolved
-    // per-lane gate handles, the lanes whose memo decision missed on
-    // the current neuron, and per-lane reuse/compute counters for the
-    // current gate invocation.
+    // Scratch for a gate call: each lane's gate handle and its hit and
+    // audit counts.
     lane_handles: Vec<GateHandle>,
-    miss_lanes: Vec<u32>,
     lane_reused: Vec<u64>,
-    lane_computed: Vec<u64>,
+    lane_audited: Vec<u64>,
     // Per-layer threshold overrides installed by an adaptive
     // controller; empty means the uniform `config.threshold` applies
     // to every layer.
@@ -80,13 +75,43 @@ pub struct BnnMemoEvaluator {
     // Deterministic 1-in-N audit sampling of memo hits (None = off).
     audit: Option<AuditSampler>,
     audit_stats: AuditStats,
-    // Hit counters driving audit selection: one for the
-    // single-sequence paths, one per lane for the batched path (so a
-    // lane's audit sequence matches a dedicated single-sequence run).
-    audit_counter: u64,
+    // Hit counters driving audit selection, one per lane (so a lane's
+    // audit sequence matches a dedicated one-lane run).
     lane_audit_counters: Vec<u64>,
-    // Scratch: audits taken per lane during the current gate call.
-    lane_audited: Vec<u64>,
+}
+
+/// Lanes per quad-dot kernel call: the fewest lanes that can share a
+/// missed neuron's weight rows.
+const QUAD_LANES: usize = 4;
+
+/// Neurons per block of the few-lane decision loop: a block's weight
+/// rows (a few hundred KiB at most) stay cache-resident while every
+/// lane walks it.
+const NEURON_BLOCK: usize = 64;
+
+/// The memo check of one (lane, neuron) pair under one gate call's
+/// threshold (Equations 12–14).
+#[derive(Debug, Clone, Copy)]
+struct MemoCheck {
+    theta: f32,
+    epsilon: f32,
+    throttle: bool,
+}
+
+impl MemoCheck {
+    /// Compares the mirror output `yb_t` with neuron `n`'s cached entry:
+    /// on a hit, records the reuse and returns the cached output.
+    #[inline(always)]
+    fn reuse(self, table: &mut MemoTable, handle: GateHandle, n: usize, yb_t: f32) -> Option<f32> {
+        let entry = table.entry(handle, n)?;
+        let eps_t = relative_difference(yb_t, entry.cached_bnn_output, self.epsilon);
+        let delta_t = if self.throttle {
+            entry.accumulated_delta + eps_t
+        } else {
+            eps_t
+        };
+        (delta_t <= self.theta).then(|| table.reuse_at(handle, n, delta_t))
+    }
 }
 
 /// Precomputed audit selection: hit number `c` is audited iff
@@ -122,32 +147,26 @@ impl BnnMemoEvaluator {
     /// `Arc` across evaluators — cloning a prebuilt mirror per worker
     /// would scale memory with `workers × mirror size` for no benefit.
     pub fn new(mirror: impl Into<Arc<BinaryNetwork>>, config: BnnMemoConfig) -> Self {
-        let mirror = mirror.into();
-        let table = MemoTable::with_gates(mirror.iter().map(|(id, g)| (*id, g.neurons())));
-        BnnMemoEvaluator {
-            mirror,
+        let mut evaluator = BnnMemoEvaluator {
+            mirror: mirror.into(),
             config,
-            table,
             stats: ReuseStats::new(),
             input_cache: None,
-            xb: BitVector::zeros(0),
-            hb: BitVector::zeros(0),
             yb: Vec::new(),
             lane_tables: Vec::new(),
             lane_xb: Vec::new(),
             lane_hb: Vec::new(),
             lane_stats: Vec::new(),
             lane_handles: Vec::new(),
-            miss_lanes: Vec::new(),
             lane_reused: Vec::new(),
-            lane_computed: Vec::new(),
+            lane_audited: Vec::new(),
             layer_thresholds: Vec::new(),
             audit: None,
             audit_stats: AuditStats::new(),
-            audit_counter: 0,
             lane_audit_counters: Vec::new(),
-            lane_audited: Vec::new(),
-        }
+        };
+        evaluator.begin_batch(1);
+        evaluator
     }
 
     /// Enables deterministic audit sampling: one in `config.period`
@@ -222,21 +241,21 @@ impl BnnMemoEvaluator {
         self.config
     }
 
-    /// Borrow the memoization table (diagnostics only).
+    /// Borrow lane 0's memoization table: the table of the last
+    /// [`DeepRnn::run`](nfm_rnn::DeepRnn::run) and of the per-neuron
+    /// path (diagnostics only).
     pub fn table(&self) -> &MemoTable {
-        &self.table
+        &self.lane_tables[0]
     }
 
-    /// Borrow the per-lane memoization tables of the batched path
-    /// (diagnostics only; empty until a batched run sized them via
-    /// `begin_batch`).
+    /// Borrow the per-lane memoization tables (diagnostics only; one
+    /// until a batched run sized more via `begin_batch`).
     pub fn lane_tables(&self) -> &[MemoTable] {
         &self.lane_tables
     }
 
     /// Per-lane reuse statistics of the batched path, accumulated since
-    /// each lane's last `begin_lane_sequence` (empty until a batched
-    /// run sized the lanes).  The aggregate [`stats`](Self::stats)
+    /// each lane's last `begin_lane_sequence`.  The aggregate [`stats`](Self::stats)
     /// includes everything recorded here.
     pub fn lane_stats(&self) -> &[ReuseStats] {
         &self.lane_stats
@@ -342,7 +361,7 @@ impl NeuronEvaluator for BnnMemoEvaluator {
 
         // Step 2/3: compare with the cached BNN output, accumulating over
         // consecutive reuses when throttling is enabled.
-        if let Some(entry) = self.table.get(neuron.gate_id, neuron.neuron) {
+        if let Some(entry) = self.lane_tables[0].get(neuron.gate_id, neuron.neuron) {
             let eps_t = relative_difference(yb_t, entry.cached_bnn_output, self.config.epsilon);
             let delta_t = if self.config.throttle {
                 entry.accumulated_delta + eps_t
@@ -351,14 +370,13 @@ impl NeuronEvaluator for BnnMemoEvaluator {
             };
             if delta_t <= self.threshold_for(neuron.gate_id.layer) {
                 self.stats.record_reused();
-                let cached = self
-                    .table
-                    .record_reuse(neuron.gate_id, neuron.neuron, delta_t);
+                let cached =
+                    self.lane_tables[0].record_reuse(neuron.gate_id, neuron.neuron, delta_t);
                 if let Some(sampler) = self.audit {
                     let layer = neuron.gate_id.layer;
                     self.audit_stats.record_hit(layer);
-                    let count = self.audit_counter;
-                    self.audit_counter += 1;
+                    let count = self.lane_audit_counters[0];
+                    self.lane_audit_counters[0] += 1;
                     if sampler.due(count) {
                         // Audit step: compute the skipped dot product
                         // anyway to observe the error — but still emit
@@ -376,77 +394,8 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // Step 4: evaluate in full precision and refresh the entry.
         let y_t = gate.neuron_dot(neuron.neuron, x, h_prev)?;
         self.stats.record_computed();
-        self.table.refresh(neuron.gate_id, neuron.neuron, y_t, yb_t);
+        self.lane_tables[0].refresh(neuron.gate_id, neuron.neuron, y_t, yb_t);
         Ok(y_t)
-    }
-
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        _timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> RnnResult<()> {
-        let Some(binary_gate) = self.mirror.gate(gate_id) else {
-            // No mirror: exact evaluation for the whole gate.
-            gate.preactivate_into(x, h_prev, out)?;
-            self.stats.record_computed_many(out.len() as u64);
-            return Ok(());
-        };
-        if binary_gate.input_size() != x.len() || binary_gate.hidden_size() != h_prev.len() {
-            // Mirror built for a different shape: evaluate exactly rather
-            // than failing inference (matches the per-neuron fallback).
-            gate.preactivate_into(x, h_prev, out)?;
-            self.stats.record_computed_many(out.len() as u64);
-            return Ok(());
-        }
-
-        // Binarize the gate inputs exactly once, into reused storage,
-        // and evaluate the whole mirror gate in one dispatched
-        // XNOR-popcount call (widths were checked above).
-        self.xb.fill_from_signs(x);
-        self.hb.fill_from_signs(h_prev);
-        self.yb.resize(gate.neurons(), 0);
-        binary_gate.neuron_outputs_unchecked_into(&self.xb, &self.hb, &mut self.yb);
-        let handle = self.table.gate_handle(gate_id, gate.neurons());
-        let theta = self.threshold_for(gate_id.layer);
-        let sampler = self.audit;
-        for (n, slot) in out.iter_mut().enumerate() {
-            let yb_t = self.yb[n] as f32;
-            self.stats.record_bnn_evaluation();
-            if let Some(entry) = self.table.entry(handle, n) {
-                let eps_t = relative_difference(yb_t, entry.cached_bnn_output, self.config.epsilon);
-                let delta_t = if self.config.throttle {
-                    entry.accumulated_delta + eps_t
-                } else {
-                    eps_t
-                };
-                if delta_t <= theta {
-                    self.stats.record_reused();
-                    let cached = self.table.reuse_at(handle, n, delta_t);
-                    *slot = cached;
-                    if let Some(sampler) = sampler {
-                        self.audit_stats.record_hit(gate_id.layer);
-                        let count = self.audit_counter;
-                        self.audit_counter += 1;
-                        if sampler.due(count) {
-                            let y_exact = gate.neuron_dot_unchecked(n, x, h_prev);
-                            self.audit_stats
-                                .record_audit(gate_id.layer, f64::from((y_exact - cached).abs()));
-                            self.stats.record_audited();
-                        }
-                    }
-                    continue;
-                }
-            }
-            let y_t = gate.neuron_dot_unchecked(n, x, h_prev);
-            self.stats.record_computed();
-            self.table.refresh_at(handle, n, y_t, yb_t);
-            *slot = y_t;
-        }
-        Ok(())
     }
 
     fn evaluate_gate_batch(
@@ -460,22 +409,27 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         out: &mut [f32],
     ) -> RnnResult<()> {
         let (isz, hsz, nsz) = (gate.input_size(), gate.hidden_size(), gate.neurons());
-        let mirror_usable = match self.mirror.gate(gate_id) {
-            Some(bg) => bg.input_size() == isz && bg.hidden_size() == hsz,
-            None => false,
-        };
-        if !mirror_usable {
+        let binary_gate = match self.mirror.gate(gate_id) {
+            Some(bg) if bg.input_size() == isz && bg.hidden_size() == hsz => bg,
             // No usable mirror: exact evaluation for every lane (matches
-            // the single-sequence fallback lane for lane, bit-identical
-            // because the lane-striped kernel shares the reduction
-            // order).
-            nfm_tensor::kernels::dual_matmul_into(gate.wx(), gate.wh(), xs, h_prevs, lanes, out)?;
-            self.stats.record_computed_many(out.len() as u64);
-            for lane_stats in self.lane_stats.iter_mut().take(lanes) {
-                lane_stats.record_computed_many(nsz as u64);
+            // the per-neuron fallback, bit-identical because the
+            // lane-striped kernel shares the reduction order).
+            _ => {
+                nfm_tensor::kernels::dual_matmul_into(
+                    gate.wx(),
+                    gate.wh(),
+                    xs,
+                    h_prevs,
+                    lanes,
+                    out,
+                )?;
+                self.stats.record_computed_many(out.len() as u64);
+                for lane_stats in self.lane_stats.iter_mut().take(lanes) {
+                    lane_stats.record_computed_many(nsz as u64);
+                }
+                return Ok(());
             }
-            return Ok(());
-        }
+        };
         assert!(
             self.lane_tables.len() >= lanes,
             "evaluate_gate_batch with {lanes} lanes but begin_batch sized {} \
@@ -485,164 +439,156 @@ impl NeuronEvaluator for BnnMemoEvaluator {
         // Binarize every lane's inputs exactly once, into reused storage.
         BitVector::fill_lanes_from_signs(&mut self.lane_xb, xs, lanes, isz);
         BitVector::fill_lanes_from_signs(&mut self.lane_hb, h_prevs, lanes, hsz);
-        let binary_gate = self.mirror.gate(gate_id).expect("checked above");
         // One dispatched XNOR-popcount call evaluates the whole mirror
-        // gate for *every* lane of the wave: each binary weight row
-        // streams once and is reused across lanes (row-outer,
-        // lane-inner), instead of re-walking the mirror per lane.
-        // Popcounts are integer-exact, so the lane-striped outputs equal
-        // the per-lane calls bit for bit.
+        // gate for *every* lane of the wave.  Popcounts are
+        // integer-exact, so the lane-striped outputs equal the
+        // per-neuron outputs bit for bit.
         self.yb.resize(lanes * nsz, 0);
         binary_gate.neuron_outputs_batch_unchecked_into(
             &self.lane_xb[..lanes],
             &self.lane_hb[..lanes],
             &mut self.yb,
         );
-        // Resolve every lane's gate block once so the neuron loop below
-        // is pure array indexing, and zero this invocation's per-lane
-        // counters.
+        // θ and the audit sampler are hoisted once per gate call:
+        // adaptive controllers only swap thresholds between whole-gate
+        // invocations, so every lane of this call shares one θ.
+        let check = MemoCheck {
+            theta: self.threshold_for(gate_id.layer),
+            epsilon: self.config.epsilon,
+            throttle: self.config.throttle,
+        };
+        let sampler = self.audit;
         self.lane_handles.clear();
-        for table in self.lane_tables.iter_mut().take(lanes) {
+        for table in &mut self.lane_tables[..lanes] {
             self.lane_handles.push(table.gate_handle(gate_id, nsz));
         }
         if self.lane_reused.len() < lanes {
             self.lane_reused.resize(lanes, 0);
-            self.lane_computed.resize(lanes, 0);
             self.lane_audited.resize(lanes, 0);
         }
-        self.lane_reused[..lanes].fill(0);
-        self.lane_computed[..lanes].fill(0);
-        self.lane_audited[..lanes].fill(0);
-        // θ and the audit sampler are hoisted once per gate call:
-        // adaptive controllers only swap thresholds between whole-gate
-        // invocations, so every lane of this call shares one θ.
-        let theta = self.threshold_for(gate_id.layer);
-        let sampler = self.audit;
-
-        // Neuron-outer, lane-inner: per (lane, neuron) memo decisions
-        // are independent (each lane owns its table, each neuron its
-        // slot), so this order is bit-identical to the lane-outer loop
-        // — but the lanes that miss on a neuron now share that neuron's
-        // weight rows.  Misses are computed four at a time with the
-        // quad-dot kernel, whose per-lane results are bit-identical to
-        // individual dots by the kernel contract; the bias-free neuron
-        // dot is exactly `dot(wx row, x) + dot(wh row, h_prev)`, so
-        // each miss equals `neuron_dot_unchecked` bit for bit.
-        let (wx, wh) = (gate.wx(), gate.wh());
-        for n in 0..nsz {
-            self.miss_lanes.clear();
-            for l in 0..lanes {
-                let yb_t = self.yb[l * nsz + n] as f32;
-                let handle = self.lane_handles[l];
-                let table = &mut self.lane_tables[l];
-                if let Some(entry) = table.entry(handle, n) {
-                    let eps_t =
-                        relative_difference(yb_t, entry.cached_bnn_output, self.config.epsilon);
-                    let delta_t = if self.config.throttle {
-                        entry.accumulated_delta + eps_t
-                    } else {
-                        eps_t
-                    };
-                    if delta_t <= theta {
-                        self.lane_reused[l] += 1;
-                        let cached = table.reuse_at(handle, n, delta_t);
-                        out[l * nsz + n] = cached;
-                        if let Some(sampler) = sampler {
-                            let count = self.lane_audit_counters[l];
-                            self.lane_audit_counters[l] += 1;
-                            if sampler.due(count) {
-                                let y_exact = nfm_tensor::kernels::dot_unchecked(
-                                    wx.row(n),
-                                    &xs[l * isz..(l + 1) * isz],
-                                ) + nfm_tensor::kernels::dot_unchecked(
-                                    wh.row(n),
-                                    &h_prevs[l * hsz..(l + 1) * hsz],
-                                );
-                                self.audit_stats.record_audit(
-                                    gate_id.layer,
-                                    f64::from((y_exact - cached).abs()),
-                                );
-                                self.lane_audited[l] += 1;
-                            }
+        // Per-call views of the lane state, so the loops below index
+        // locals rather than `self`.
+        let tables = &mut self.lane_tables[..lanes];
+        let handles = &self.lane_handles[..lanes];
+        let yb = &self.yb[..lanes * nsz];
+        let (reused, audited) = (
+            &mut self.lane_reused[..lanes],
+            &mut self.lane_audited[..lanes],
+        );
+        reused.fill(0);
+        audited.fill(0);
+        let lane_x = |l: usize| &xs[l * isz..(l + 1) * isz];
+        let lane_h = |l: usize| &h_prevs[l * hsz..(l + 1) * hsz];
+        // Books a hit of lane `l` on neuron `n`; a sampled hit is also
+        // computed exactly to observe its error (the cached value is
+        // still what the lane emits).
+        let (audit_counters, audit_stats) = (
+            &mut self.lane_audit_counters[..lanes],
+            &mut self.audit_stats,
+        );
+        let mut hit = |l: usize, n: usize, cached: f32, reused: &mut [u64]| {
+            reused[l] += 1;
+            let Some(sampler) = sampler else { return };
+            let count = audit_counters[l];
+            audit_counters[l] += 1;
+            if sampler.due(count) {
+                let y_exact = gate.neuron_dot_unchecked(n, lane_x(l), lane_h(l));
+                audit_stats.record_audit(gate_id.layer, f64::from((y_exact - cached).abs()));
+                audited[l] += 1;
+            }
+        };
+        // Every (lane, neuron) decision is independent — each lane owns
+        // its table, each neuron its slot — so both traversals below are
+        // bit-identical to any other order.
+        if lanes < QUAD_LANES {
+            // No quad of lanes can share a weight row: each lane runs the
+            // plain decide-or-compute loop, a block of neurons at a time
+            // so the block's rows stay cache-resident for the next lane.
+            for n0 in (0..nsz).step_by(NEURON_BLOCK) {
+                let block = n0..nsz.min(n0 + NEURON_BLOCK);
+                for l in 0..lanes {
+                    let (x, h) = (lane_x(l), lane_h(l));
+                    let (table, handle) = (&mut tables[l], handles[l]);
+                    for n in block.clone() {
+                        let at = l * nsz + n;
+                        let yb_t = yb[at] as f32;
+                        if let Some(cached) = check.reuse(table, handle, n, yb_t) {
+                            out[at] = cached;
+                            hit(l, n, cached, reused);
+                            continue;
                         }
-                        continue;
+                        let y_t = gate.neuron_dot_unchecked(n, x, h);
+                        table.refresh_at(handle, n, y_t, yb_t);
+                        out[at] = y_t;
                     }
                 }
-                self.miss_lanes.push(l as u32);
             }
-            if self.miss_lanes.is_empty() {
-                continue;
-            }
-            let (wx_row, wh_row) = (wx.row(n), wh.row(n));
-            let mut finish = |l: usize, y_t: f32, tables: &mut [MemoTable]| {
-                self.lane_computed[l] += 1;
-                tables[l].refresh_at(self.lane_handles[l], n, y_t, self.yb[l * nsz + n] as f32);
-                out[l * nsz + n] = y_t;
-            };
-            let mut quads = self.miss_lanes.chunks_exact(4);
-            for quad in &mut quads {
-                let ls = [
-                    quad[0] as usize,
-                    quad[1] as usize,
-                    quad[2] as usize,
-                    quad[3] as usize,
-                ];
-                let fwd = nfm_tensor::kernels::dot_quad_unchecked(
-                    wx_row,
-                    &xs[ls[0] * isz..(ls[0] + 1) * isz],
-                    &xs[ls[1] * isz..(ls[1] + 1) * isz],
-                    &xs[ls[2] * isz..(ls[2] + 1) * isz],
-                    &xs[ls[3] * isz..(ls[3] + 1) * isz],
-                );
-                let rec = nfm_tensor::kernels::dot_quad_unchecked(
-                    wh_row,
-                    &h_prevs[ls[0] * hsz..(ls[0] + 1) * hsz],
-                    &h_prevs[ls[1] * hsz..(ls[1] + 1) * hsz],
-                    &h_prevs[ls[2] * hsz..(ls[2] + 1) * hsz],
-                    &h_prevs[ls[3] * hsz..(ls[3] + 1) * hsz],
-                );
-                for (j, &l) in ls.iter().enumerate() {
-                    finish(l, fwd[j] + rec[j], &mut self.lane_tables);
+        } else {
+            // Neuron-outer, lane-inner: the lanes that miss a neuron share
+            // its weight rows, four at a time through the quad-dot kernel
+            // (bit-identical per lane to single dots by the kernel
+            // contract).
+            let finish =
+                |m: usize, n: usize, y_t: f32, tables: &mut [MemoTable], out: &mut [f32]| {
+                    let at = m * nsz + n;
+                    tables[m].refresh_at(handles[m], n, y_t, yb[at] as f32);
+                    out[at] = y_t;
+                };
+            for n in 0..nsz {
+                let (mut quad, mut queued) = ([0usize; QUAD_LANES], 0);
+                for l in 0..lanes {
+                    let at = l * nsz + n;
+                    if let Some(cached) = check.reuse(&mut tables[l], handles[l], n, yb[at] as f32)
+                    {
+                        out[at] = cached;
+                        hit(l, n, cached, reused);
+                        continue;
+                    }
+                    quad[queued] = l;
+                    queued += 1;
+                    if queued == QUAD_LANES {
+                        let [a, b, c, d] = quad;
+                        let (wx_row, wh_row) = (gate.wx().row(n), gate.wh().row(n));
+                        let fwd =
+                            dot_quad_unchecked(wx_row, lane_x(a), lane_x(b), lane_x(c), lane_x(d));
+                        let rec =
+                            dot_quad_unchecked(wh_row, lane_h(a), lane_h(b), lane_h(c), lane_h(d));
+                        for (j, &m) in quad.iter().enumerate() {
+                            finish(m, n, fwd[j] + rec[j], tables, out);
+                        }
+                        queued = 0;
+                    }
+                }
+                for &m in &quad[..queued] {
+                    let y_t = gate.neuron_dot_unchecked(n, lane_x(m), lane_h(m));
+                    finish(m, n, y_t, tables, out);
                 }
             }
-            for &l in quads.remainder() {
-                let l = l as usize;
-                let y_t = nfm_tensor::kernels::dot_unchecked(wx_row, &xs[l * isz..(l + 1) * isz])
-                    + nfm_tensor::kernels::dot_unchecked(wh_row, &h_prevs[l * hsz..(l + 1) * hsz]);
-                finish(l, y_t, &mut self.lane_tables);
-            }
         }
-
-        // The BNN mirror ran for every neuron of every lane; fold the
-        // counters into the aggregate and per-lane stats.
+        // The mirror ran for every neuron of every lane; every non-hit
+        // was computed exactly.
         for l in 0..lanes {
-            self.stats.record_bnn_evaluations_many(nsz as u64);
-            self.stats.record_reused_many(self.lane_reused[l]);
-            self.stats.record_computed_many(self.lane_computed[l]);
-            self.stats.record_audited_many(self.lane_audited[l]);
-            let lane_stats = &mut self.lane_stats[l];
-            lane_stats.record_bnn_evaluations_many(nsz as u64);
-            lane_stats.record_reused_many(self.lane_reused[l]);
-            lane_stats.record_computed_many(self.lane_computed[l]);
-            lane_stats.record_audited_many(self.lane_audited[l]);
+            let computed = nsz as u64 - reused[l];
+            for stats in [&mut self.stats, &mut self.lane_stats[l]] {
+                stats.record_bnn_evaluations_many(nsz as u64);
+                stats.record_reused_many(reused[l]);
+                stats.record_computed_many(computed);
+                stats.record_audited_many(audited[l]);
+            }
             if sampler.is_some() {
-                self.audit_stats
-                    .record_hits(gate_id.layer, self.lane_reused[l]);
+                self.audit_stats.record_hits(gate_id.layer, reused[l]);
             }
         }
         Ok(())
     }
 
     fn begin_sequence(&mut self) {
-        self.table.clear();
-        self.input_cache = None;
-        self.audit_counter = 0;
+        self.begin_lane_sequence(0);
     }
 
     fn begin_batch(&mut self, lanes: usize) {
         while self.lane_tables.len() < lanes {
-            // Same dense layout as the single-sequence table: the FMU
-            // buffer shape replicated once per lane.
+            // The FMU buffer's dense layout, replicated once per lane.
             self.lane_tables.push(MemoTable::with_gates(
                 self.mirror.iter().map(|(id, g)| (*id, g.neurons())),
             ));
@@ -657,14 +603,10 @@ impl NeuronEvaluator for BnnMemoEvaluator {
 
     fn begin_lane_sequence(&mut self, lane: usize) {
         // A wrapper may route batched evaluation through the per-neuron
-        // path (the trait's default lane loop), which uses the
-        // single-sequence state — so a lane's fresh sequence must start
-        // that state cold too.  (Under the default loop, lanes > 1
-        // still share it; per-lane isolation needs the batch overrides,
-        // as the trait docs spell out.)
-        self.table.clear();
+        // path (the trait's default lane loop), which uses lane 0's
+        // state for every lane — per-lane isolation needs the batch
+        // overrides, as the trait docs spell out.
         self.input_cache = None;
-        self.audit_counter = 0;
         self.lane_tables[lane].clear();
         self.lane_stats[lane].reset();
         self.lane_audit_counters[lane] = 0;

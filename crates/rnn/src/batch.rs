@@ -6,17 +6,17 @@
 //! allocation, so the batched kernels can stream a gate's weight rows
 //! once and reuse them across all lanes.
 //!
-//! Ownership rules mirror the single-sequence [`CellScratch`] contract:
-//! the *caller* owns [`BatchState`] and [`BatchScratch`] and may reuse
-//! them across timesteps, waves and cells of the same width; a cell only
-//! borrows them for the duration of one `step_batch_into` call and never
-//! stores references.  Lanes are advanced in lockstep and must be
+//! One lane is the single-sequence case; there is no separate
+//! single-sequence state.  Ownership rule: the *caller* owns
+//! [`BatchState`] and [`BatchScratch`] and may reuse them across
+//! timesteps, waves and cells of the same width; a cell only borrows
+//! them for the duration of one `step_batch_into` call and never stores
+//! references, so the steady-state per-timestep allocation count is
+//! zero.  Lanes are advanced in lockstep and must be
 //! ordered by **descending sequence length**, so that at batch step `s`
 //! the active lanes are always the prefix `0..active` — a shorter lane
 //! simply drops out of the prefix when its sequence ends (the ragged
 //! tail) and its stale state is never read again.
-//!
-//! [`CellScratch`]: crate::CellScratch
 
 /// The recurrent state of `lanes` independent cell instances, stored
 /// lane-striped: `h` (and `c` for LSTM cells) hold `lanes * hidden`
@@ -129,9 +129,11 @@ impl BatchState {
     }
 }
 
-/// Reusable lane-striped working buffers for batched cell stepping: the
-/// batch analogue of [`CellScratch`](crate::CellScratch) — three
-/// gate-width buffers sized `lanes * hidden`.  (The sequence driver
+/// Reusable lane-striped working buffers for batched cell stepping:
+/// the at most three gate-width buffers a step keeps alive at once
+/// (LSTM: `i_t`, `f_t`, `g_t`, with `o_t` reusing the first; GRU: `z_t`,
+/// `r_t ⊙ h_{t-1}` and the candidate), each sized `lanes * hidden`.
+/// (The sequence driver
 /// keeps its own block-packing and hoisted-projection buffers; a cell
 /// step only ever needs these three.)
 #[derive(Debug, Clone, Default)]
@@ -211,9 +213,12 @@ mod tests {
             let (a, b, c) = s.bufs(8);
             assert_eq!((a.len(), b.len(), c.len()), (8, 8, 8));
             a[0] = 1.0;
+            b[0] = 2.0;
+            c[0] = 3.0;
         }
-        let (a, _, _) = s.bufs(4);
+        // The three buffers are disjoint and keep their contents.
+        let (a, b, c) = s.bufs(4);
         assert_eq!(a.len(), 4);
-        assert_eq!(a[0], 1.0);
+        assert_eq!((a[0], b[0], c[0]), (1.0, 2.0, 3.0));
     }
 }

@@ -4,20 +4,24 @@
 //!
 //! * [`NeuronEvaluator::evaluate`] — one neuron at a time, the boundary
 //!   the paper describes (the FMU intercepting one DPU operation);
-//! * [`NeuronEvaluator::evaluate_gate`] — one whole gate per call, the
-//!   granularity the software hot path actually runs at.  The default
-//!   implementation falls back to the per-neuron method, so custom
-//!   evaluators keep working unchanged, while the built-in evaluators
-//!   override it with fused, allocation-free kernels.
+//! * [`NeuronEvaluator::evaluate_gate_batch`] — one whole gate for
+//!   `lanes` lane-striped sequences per call, the granularity the
+//!   software runs at everywhere: [`DeepRnn::run`](crate::DeepRnn::run)
+//!   is a one-lane batch.  The default implementation loops lanes
+//!   through [`NeuronEvaluator::evaluate_gate`], whose default loops
+//!   neurons through `evaluate`, so custom evaluators keep working
+//!   unchanged, while the built-in evaluators override the batch
+//!   methods with fused, allocation-free kernels.
 //!
 //! The two paths are contractually **bit-identical**: every built-in
 //! override performs the same floating-point operations in the same
 //! order as the per-neuron fallback (see the `batched_equivalence`
-//! integration tests).
+//! integration tests, which pin every built-in evaluator to
+//! [`PerNeuronEvaluator`]).
 
 use crate::gate::{Gate, GateId};
 use crate::Result;
-use nfm_tensor::kernels::{dual_matmul_into, dual_matvec_into, matmul_add_into};
+use nfm_tensor::kernels::{dual_matmul_into, matmul_add_into};
 
 /// Identifies one neuron evaluation: which gate, which neuron of that
 /// gate, and at which timestep of the current sequence.
@@ -60,14 +64,15 @@ pub trait NeuronEvaluator {
 
     /// Produces the pre-activation dot products for *every* neuron of
     /// `gate` at once, writing them into the caller-owned `out` buffer
-    /// (`out.len() == gate.neurons()`, guaranteed by [`Gate::evaluate`]).
+    /// (`out.len() == gate.neurons()`).
     ///
-    /// The default implementation routes each neuron through
-    /// [`evaluate`](NeuronEvaluator::evaluate), preserving the trait
-    /// contract for custom evaluators; the built-in evaluators override
-    /// it with fused kernels that skip per-neuron virtual dispatch,
-    /// dimension checks and hashing.  Overrides must remain bit-identical
-    /// to the fallback.
+    /// This is one lane of the default
+    /// [`evaluate_gate_batch`](NeuronEvaluator::evaluate_gate_batch)
+    /// loop.  The default implementation routes each neuron through
+    /// [`evaluate`](NeuronEvaluator::evaluate); the built-in evaluators
+    /// override the batch methods instead, so only custom evaluators
+    /// that implement `evaluate` alone reach it.  Overrides must remain
+    /// bit-identical to the fallback.
     ///
     /// # Errors
     ///
@@ -194,14 +199,19 @@ pub trait NeuronEvaluator {
         self.evaluate_gate_batch(gate_id, timestep, lanes, gate, xs, h_prevs, out)
     }
 
-    /// Called by [`DeepRnn::run`](crate::DeepRnn::run) before each new
-    /// input sequence so implementations can reset per-sequence state
-    /// (e.g. memoization tables are cold at the start of a sequence).
+    /// Resets per-sequence state (e.g. memoization tables are cold at
+    /// the start of a sequence).  The batch drivers never call it
+    /// directly: it is what the default
+    /// [`begin_lane_sequence`](NeuronEvaluator::begin_lane_sequence)
+    /// runs, so an evaluator with a single state only implements this.
     fn begin_sequence(&mut self) {}
 
-    /// Called by [`DeepRnn::run_batch`](crate::DeepRnn::run_batch) once
-    /// before a batched run so implementations can size per-lane state
-    /// (e.g. one memoization table per lane).  The default is a no-op.
+    /// Called by [`DeepRnn::run_batch`](crate::DeepRnn::run_batch) (and
+    /// so by [`DeepRnn::run`](crate::DeepRnn::run), a one-lane batch)
+    /// once before a batched run, and by the serving engine when it
+    /// sizes a lane scheduler, so implementations can size per-lane
+    /// state (e.g. one memoization table per lane).  The default is a
+    /// no-op.
     fn begin_batch(&mut self, lanes: usize) {
         let _ = lanes;
     }
@@ -209,9 +219,10 @@ pub trait NeuronEvaluator {
     /// Called when lane `lane` of a batched run starts a fresh input
     /// sequence, so per-lane state can be reset.  The default falls back
     /// to [`begin_sequence`](NeuronEvaluator::begin_sequence) — exactly
-    /// the per-sequence contract when `lanes == 1`, and the best
-    /// available approximation for stateful custom evaluators that did
-    /// not override the batch methods.
+    /// the per-sequence contract when `lanes == 1` (every
+    /// [`DeepRnn::run`](crate::DeepRnn::run)), and the best available
+    /// approximation for stateful custom evaluators that did not
+    /// override the batch methods.
     fn begin_lane_sequence(&mut self, lane: usize) {
         let _ = lane;
         self.begin_sequence();
@@ -237,7 +248,9 @@ pub trait NeuronEvaluator {
 /// The baseline evaluator: always computes the exact dot products.
 ///
 /// Corresponds to the unmodified E-PUR accelerator.  Its batched path is
-/// one fused dual matrix-vector product per gate.
+/// one fused lane-striped dual matrix product per gate (or, when the
+/// driver hoists the input projections, one recurrent product added
+/// onto them).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactEvaluator {
     evaluations: u64,
@@ -265,20 +278,6 @@ impl NeuronEvaluator for ExactEvaluator {
     ) -> Result<f32> {
         self.evaluations += 1;
         gate.neuron_dot(neuron.neuron, x, h_prev)
-    }
-
-    fn evaluate_gate(
-        &mut self,
-        _gate_id: GateId,
-        _timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        dual_matvec_into(gate.wx(), gate.wh(), x, h_prev, out)?;
-        self.evaluations += out.len() as u64;
-        Ok(())
     }
 
     fn evaluate_gate_batch(
@@ -343,7 +342,8 @@ impl<E: NeuronEvaluator> CountingEvaluator<E> {
         self.calls
     }
 
-    /// Total `begin_sequence` calls observed.
+    /// Total sequences started (`begin_sequence` and
+    /// `begin_lane_sequence` calls observed).
     pub fn sequences(&self) -> u64 {
         self.sequences
     }
@@ -369,20 +369,6 @@ impl<E: NeuronEvaluator> NeuronEvaluator for CountingEvaluator<E> {
     ) -> Result<f32> {
         self.calls += 1;
         self.inner.evaluate(neuron, gate, x, h_prev)
-    }
-
-    fn evaluate_gate(
-        &mut self,
-        gate_id: GateId,
-        timestep: usize,
-        gate: &Gate,
-        x: &[f32],
-        h_prev: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        self.calls += out.len() as u64;
-        self.inner
-            .evaluate_gate(gate_id, timestep, gate, x, h_prev, out)
     }
 
     fn evaluate_gate_batch(
@@ -440,9 +426,10 @@ impl<E: NeuronEvaluator> NeuronEvaluator for CountingEvaluator<E> {
 }
 
 /// Forces the wrapped evaluator onto the per-neuron fallback path: its
-/// `evaluate_gate` loops over [`NeuronEvaluator::evaluate`] exactly like
-/// the trait's default implementation, ignoring any batched override the
-/// inner evaluator provides.
+/// batch methods loop lanes and neurons over
+/// [`NeuronEvaluator::evaluate`] exactly like the trait's default
+/// implementations, ignoring any batched override the inner evaluator
+/// provides.
 ///
 /// Used by the equivalence tests (batched output must be bit-identical
 /// to this path) and by the benchmarks to measure the naive path's cost.
@@ -550,19 +537,23 @@ mod tests {
     #[test]
     fn exact_batched_matches_per_neuron_bitwise() {
         let g = gate();
-        let mut batched = ExactEvaluator::new();
-        let mut out = [0.0f32; 1];
-        batched
-            .evaluate_gate(nref().gate_id, 0, &g, &[1.0, 1.0], &[2.0], &mut out)
-            .unwrap();
-        let mut naive = PerNeuronEvaluator::new(ExactEvaluator::new());
-        let mut out2 = [0.0f32; 1];
-        naive
-            .evaluate_gate(nref().gate_id, 0, &g, &[1.0, 1.0], &[2.0], &mut out2)
-            .unwrap();
-        assert_eq!(out[0].to_bits(), out2[0].to_bits());
-        assert_eq!(batched.evaluations(), 1);
-        assert_eq!(naive.inner().evaluations(), 1);
+        let (xs, hs) = ([1.0, 1.0, -0.5, 2.0], [2.0, 0.25]);
+        for lanes in [1usize, 2] {
+            let (xs, hs) = (&xs[..2 * lanes], &hs[..lanes]);
+            let mut batched = ExactEvaluator::new();
+            let mut out = [0.0f32; 2];
+            batched
+                .evaluate_gate_batch(nref().gate_id, 0, lanes, &g, xs, hs, &mut out[..lanes])
+                .unwrap();
+            let mut naive = PerNeuronEvaluator::new(ExactEvaluator::new());
+            let mut out2 = [0.0f32; 2];
+            naive
+                .evaluate_gate_batch(nref().gate_id, 0, lanes, &g, xs, hs, &mut out2[..lanes])
+                .unwrap();
+            assert_eq!(out.map(f32::to_bits), out2.map(f32::to_bits));
+            assert_eq!(batched.evaluations(), lanes as u64);
+            assert_eq!(naive.inner().evaluations(), lanes as u64);
+        }
     }
 
     #[test]
@@ -582,11 +573,11 @@ mod tests {
     fn counting_evaluator_counts_batched_neurons() {
         let g = gate();
         let mut e = CountingEvaluator::new(ExactEvaluator::new());
-        let mut out = [0.0f32; 1];
-        e.evaluate_gate(nref().gate_id, 0, &g, &[1.0, 1.0], &[2.0], &mut out)
+        let mut out = [0.0f32; 2];
+        e.evaluate_gate_batch(nref().gate_id, 0, 2, &g, &[1.0; 4], &[2.0; 2], &mut out)
             .unwrap();
-        assert_eq!(e.calls(), 1);
-        assert_eq!(e.inner().evaluations(), 1);
+        assert_eq!(e.calls(), 2);
+        assert_eq!(e.inner().evaluations(), 2);
     }
 
     #[test]

@@ -4,28 +4,9 @@ use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
-use crate::scratch::CellScratch;
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::Vector;
-
-/// The recurrent state of a GRU cell — just the hidden output `h_t`
-/// (GRUs have no independent cell memory).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GruState {
-    /// Hidden output `h_t`.
-    pub h: Vector,
-}
-
-impl GruState {
-    /// Zero-initialized state for a cell with `hidden` neurons.
-    pub fn zeros(hidden: usize) -> Self {
-        GruState {
-            h: Vector::zeros(hidden),
-        }
-    }
-}
 
 /// A GRU cell:
 ///
@@ -148,86 +129,15 @@ impl GruCell {
         self.hidden_size() * GateKind::GRU.len()
     }
 
-    /// Advances the cell by one timestep, writing the next state into
-    /// `next` and reusing the caller-owned `scratch` buffers: the
-    /// steady-state path performs zero allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_into(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &[f32],
-        state: &GruState,
-        next: &mut GruState,
-        scratch: &mut CellScratch,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<()> {
-        let hidden = self.hidden_size();
-        if state.h.len() != hidden {
-            return Err(RnnError::InvalidConfig {
-                what: format!(
-                    "GRU state width {} does not match hidden size {}",
-                    state.h.len(),
-                    hidden
-                ),
-            });
-        }
-        next.h.resize(hidden, 0.0);
-        let id = |kind| GateId::new(layer, direction, kind);
-        let h_prev = state.h.as_slice();
-        let (zb, rb, gb) = scratch.bufs(hidden);
-        self.update.evaluate_into(
-            id(GateKind::Update),
-            timestep,
-            x,
-            h_prev,
-            None,
-            evaluator,
-            zb,
-        )?;
-        self.reset.evaluate_into(
-            id(GateKind::Reset),
-            timestep,
-            x,
-            h_prev,
-            None,
-            evaluator,
-            rb,
-        )?;
-        // Reset-modulated hidden state, in place: rb = r_t ⊙ h_{t-1}.
-        for (r, h) in rb.iter_mut().zip(h_prev.iter()) {
-            *r *= h;
-        }
-        self.candidate.evaluate_into(
-            id(GateKind::Candidate),
-            timestep,
-            x,
-            rb,
-            None,
-            evaluator,
-            gb,
-        )?;
-        // h_t = (1 - z_t) ⊙ h_{t-1} + z_t ⊙ g_t
-        for (n, h_next) in next.h.as_mut_slice().iter_mut().enumerate() {
-            *h_next = (1.0 - zb[n]) * h_prev[n] + zb[n] * gb[n];
-        }
-        Ok(())
-    }
-
     /// Advances the first `lanes` lanes of a batch by one timestep,
     /// writing the next lane-striped state into `next` and reusing the
     /// caller-owned `scratch`.  `xs` is lane-striped
     /// (`lanes * input_size`); `hoisted`, when present, supplies the
     /// pre-computed `W_x·x_t` projections, one lane-striped slice per
     /// gate in [`GateKind::GRU`] order (the candidate's *recurrent* half
-    /// still uses the reset-modulated hidden state per timestep).  Lane
-    /// `l`'s next state is bit-identical to a single-sequence
-    /// [`GruCell::step_into`] over lane `l`'s vectors.
+    /// still uses the reset-modulated hidden state per timestep).  One
+    /// lane is the single-sequence step; every lane's next state is
+    /// independent of the others, bit for bit.
     ///
     /// # Errors
     ///
@@ -321,37 +231,6 @@ impl GruCell {
         }
         Ok(())
     }
-
-    /// Advances the cell by one timestep, returning a freshly allocated
-    /// state.  Sequence loops use [`GruCell::step_into`] with reused
-    /// buffers instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    pub fn step(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &Vector,
-        state: &GruState,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<GruState> {
-        let mut next = GruState::zeros(self.hidden_size());
-        let mut scratch = CellScratch::for_hidden(self.hidden_size());
-        self.step_into(
-            layer,
-            direction,
-            timestep,
-            x.as_slice(),
-            state,
-            &mut next,
-            &mut scratch,
-            evaluator,
-        )?;
-        Ok(next)
-    }
 }
 
 #[cfg(test)]
@@ -376,18 +255,32 @@ mod tests {
         assert_eq!(c.gate_kinds().len(), 3);
     }
 
+    /// One single-sequence timestep: a one-lane batch step.
+    fn step(
+        c: &GruCell,
+        t: usize,
+        x: &[f32],
+        state: &BatchState,
+        eval: &mut dyn NeuronEvaluator,
+    ) -> Result<BatchState> {
+        let mut next = BatchState::zeros(1, c.hidden_size());
+        let mut scratch = BatchScratch::new();
+        c.step_batch_into(0, 0, t, 1, x, state, &mut next, &mut scratch, None, eval)?;
+        Ok(next)
+    }
+
     #[test]
     fn hidden_state_stays_bounded() {
         let c = cell(4, 6, 2);
-        let mut state = GruState::zeros(6);
+        let mut state = BatchState::zeros(1, 6);
         let mut eval = ExactEvaluator::new();
         let mut rng = DeterministicRng::seed_from_u64(5);
         for t in 0..30 {
-            let x = Vector::from_fn(4, |_| rng.uniform(-2.0, 2.0));
-            state = c.step(0, 0, t, &x, &state, &mut eval).unwrap();
+            let x: Vec<f32> = (0..4).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            state = step(&c, t, &x, &state, &mut eval).unwrap();
             // h is a convex combination of the previous h and tanh output,
             // so it remains within [-1, 1].
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
+            assert!(state.h_lane(0).iter().all(|v| v.abs() <= 1.0 + 1e-5));
         }
         assert_eq!(eval.evaluations(), 30 * 18);
     }
@@ -399,28 +292,19 @@ mod tests {
         let mk = |act, bias: f32, rng: &mut DeterministicRng| {
             let wx = nfm_tensor::init::Initializer::XavierUniform.matrix(rng, 3, 3);
             let wh = nfm_tensor::init::Initializer::XavierUniform.matrix(rng, 3, 3);
-            Gate::new(wx, wh, Vector::filled(3, bias), None, act).unwrap()
+            Gate::new(wx, wh, nfm_tensor::Vector::filled(3, bias), None, act).unwrap()
         };
         let update = mk(Activation::Sigmoid, -40.0, &mut rng);
         let reset = mk(Activation::Sigmoid, 0.0, &mut rng);
         let candidate = mk(Activation::Tanh, 0.0, &mut rng);
         let cell = GruCell::new(update, reset, candidate).unwrap();
-        let prev = GruState {
-            h: Vector::from(vec![0.3, -0.2, 0.5]),
-        };
+        let h_prev = [0.3, -0.2, 0.5];
+        let mut prev = BatchState::zeros(1, 3);
+        prev.set_lane(0, &h_prev, &[0.0; 3]);
         let mut eval = ExactEvaluator::new();
-        let next = cell
-            .step(
-                0,
-                0,
-                0,
-                &Vector::from(vec![1.0, 2.0, -1.0]),
-                &prev,
-                &mut eval,
-            )
-            .unwrap();
-        for i in 0..3 {
-            assert!((next.h[i] - prev.h[i]).abs() < 1e-4);
+        let next = step(&cell, 0, &[1.0, 2.0, -1.0], &prev, &mut eval).unwrap();
+        for (h, p) in next.h_lane(0).iter().zip(h_prev) {
+            assert!((h - p).abs() < 1e-4);
         }
     }
 
@@ -428,12 +312,8 @@ mod tests {
     fn step_rejects_bad_widths() {
         let c = cell(4, 4, 9);
         let mut eval = ExactEvaluator::new();
-        assert!(c
-            .step(0, 0, 0, &Vector::zeros(2), &GruState::zeros(4), &mut eval)
-            .is_err());
-        assert!(c
-            .step(0, 0, 0, &Vector::zeros(4), &GruState::zeros(3), &mut eval)
-            .is_err());
+        assert!(step(&c, 0, &[0.0; 2], &BatchState::zeros(1, 4), &mut eval).is_err());
+        assert!(step(&c, 0, &[0.0; 4], &BatchState::zeros(1, 3), &mut eval).is_err());
     }
 
     #[test]

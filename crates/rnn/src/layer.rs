@@ -6,20 +6,13 @@ use crate::config::{CellKind, Direction};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
-use crate::gru::{GruCell, GruState};
-use crate::lstm::{LstmCell, LstmState};
-use crate::scratch::CellScratch;
+use crate::gru::GruCell;
+use crate::lstm::LstmCell;
+use crate::scheduler::HOIST_BLOCK;
 use crate::Result;
 use nfm_tensor::kernels::matmul_into;
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
-
-/// Number of timesteps whose input projections `W_x·x_t` are hoisted
-/// into one matrix-matrix product when the evaluator supports it: the
-/// forward weight matrix of every gate is streamed once per block
-/// instead of once per timestep.  The recurrent half `W_h·h_{t-1}` can
-/// never be hoisted (it depends on the previous step's output).
-const HOIST_BLOCK: usize = 8;
 
 /// The largest gate count of any cell kind (LSTM), sizing the
 /// stack-allocated hoisted-slice array in the batch step loop.
@@ -108,74 +101,12 @@ impl Cell {
         }
     }
 
-    /// Runs the cell over a full sequence and returns the hidden output
-    /// at every timestep.  `reverse` processes the sequence backwards
-    /// (used by the backward half of a bidirectional layer) while still
-    /// returning outputs indexed by the original timestep order.
-    ///
-    /// The loop double-buffers two states and one [`CellScratch`], so a
-    /// timestep's only allocation is the cloned per-timestep output.
-    pub fn run_sequence(
-        &self,
-        layer: usize,
-        direction: usize,
-        inputs: &[Vector],
-        reverse: bool,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vec<Vector>> {
-        let n = inputs.len();
-        let mut outputs: Vec<Option<Vector>> = vec![None; n];
-        let order: Vec<usize> = if reverse {
-            (0..n).rev().collect()
-        } else {
-            (0..n).collect()
-        };
-        let mut scratch = CellScratch::for_hidden(self.hidden_size());
-        match self {
-            Cell::Lstm(cell) => {
-                let mut state = LstmState::zeros(cell.hidden_size());
-                let mut next = LstmState::zeros(cell.hidden_size());
-                for (step, &t) in order.iter().enumerate() {
-                    cell.step_into(
-                        layer,
-                        direction,
-                        step,
-                        inputs[t].as_slice(),
-                        &state,
-                        &mut next,
-                        &mut scratch,
-                        evaluator,
-                    )?;
-                    outputs[t] = Some(next.h.clone());
-                    std::mem::swap(&mut state, &mut next);
-                }
-            }
-            Cell::Gru(cell) => {
-                let mut state = GruState::zeros(cell.hidden_size());
-                let mut next = GruState::zeros(cell.hidden_size());
-                for (step, &t) in order.iter().enumerate() {
-                    cell.step_into(
-                        layer,
-                        direction,
-                        step,
-                        inputs[t].as_slice(),
-                        &state,
-                        &mut next,
-                        &mut scratch,
-                        evaluator,
-                    )?;
-                    outputs[t] = Some(next.h.clone());
-                    std::mem::swap(&mut state, &mut next);
-                }
-            }
-        }
-        Ok(outputs.into_iter().map(|o| o.expect("filled")).collect())
-    }
-
     /// Runs one sequence per lane through the cell in lockstep, batching
     /// every gate evaluation across the active lanes, and returns each
-    /// lane's per-timestep hidden outputs (indexed by the original
-    /// timestep order, like [`Cell::run_sequence`]).
+    /// lane's per-timestep hidden outputs.  `reverse` processes every
+    /// sequence backwards (the backward half of a bidirectional layer)
+    /// while still returning outputs indexed by the original timestep
+    /// order.  One lane is the single-sequence case.
     ///
     /// `inputs` must be sorted by **descending sequence length** so the
     /// active lanes always form a prefix: at batch step `s`, exactly the
@@ -186,10 +117,13 @@ impl Cell {
     /// When the evaluator's
     /// [`supports_input_hoisting`](NeuronEvaluator::supports_input_hoisting)
     /// returns `true`, the input projections `W_x·x_t` of up to
-    /// `HOIST_BLOCK` (8) timesteps are pre-computed with one lane-striped
-    /// matrix product per gate and handed to the evaluator's hoisted
-    /// path — bit-transparent, because the hoisted kernels keep the
-    /// `fwd + rec` scalar order of the fused path.
+    /// [`HOIST_BLOCK`] timesteps are pre-computed with one lane-striped
+    /// matrix product per gate (the forward weights stream once per
+    /// block instead of once per timestep) and handed to the evaluator's
+    /// hoisted path — bit-transparent, because the hoisted kernels keep
+    /// the `fwd + rec` scalar order of the fused path.  The recurrent
+    /// half `W_h·h_{t-1}` can never be hoisted (it depends on the
+    /// previous step's output).
     ///
     /// # Errors
     ///
@@ -455,39 +389,10 @@ impl Layer {
         out
     }
 
-    /// Processes a full sequence, producing one output vector per input.
-    ///
-    /// For bidirectional layers the forward and backward outputs at each
-    /// timestep are concatenated (forward half first).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any input width does not match the layer.
-    pub fn process(
-        &self,
-        inputs: &[Vector],
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<Vec<Vector>> {
-        let fwd = self
-            .forward
-            .run_sequence(self.index, 0, inputs, false, evaluator)?;
-        match &self.backward {
-            None => Ok(fwd),
-            Some(bwd_cell) => {
-                let bwd = bwd_cell.run_sequence(self.index, 1, inputs, true, evaluator)?;
-                Ok(fwd
-                    .iter()
-                    .zip(bwd.iter())
-                    .map(|(f, b)| f.concat(b))
-                    .collect())
-            }
-        }
-    }
-
     /// Processes one sequence per lane in lockstep (see
     /// [`Cell::run_sequences_batch`]), producing each lane's per-timestep
     /// outputs.  For bidirectional layers the forward and backward
-    /// outputs are concatenated exactly as in [`Layer::process`].
+    /// outputs at each timestep are concatenated (forward half first).
     ///
     /// # Errors
     ///
@@ -565,9 +470,11 @@ mod tests {
         .unwrap();
         assert!(!layer.is_bidirectional());
         assert_eq!(layer.output_size(), 6);
+        let seq = inputs(5, 4, 3);
         let out = layer
-            .process(&inputs(5, 4, 3), &mut ExactEvaluator::new())
-            .unwrap();
+            .process_batch(&[seq.as_slice()], &mut ExactEvaluator::new())
+            .unwrap()
+            .remove(0);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|v| v.len() == 6));
     }
@@ -588,9 +495,11 @@ mod tests {
         assert!(layer.is_bidirectional());
         assert_eq!(layer.output_size(), 10);
         assert_eq!(layer.gates().len(), 6);
+        let seq = inputs(4, 3, 5);
         let out = layer
-            .process(&inputs(4, 3, 5), &mut ExactEvaluator::new())
-            .unwrap();
+            .process_batch(&[seq.as_slice()], &mut ExactEvaluator::new())
+            .unwrap()
+            .remove(0);
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|v| v.len() == 10));
     }
@@ -604,10 +513,16 @@ mod tests {
         let cell = Cell::random(CellKind::Lstm, 2, 3, false, &mut rng).unwrap();
         let seq = inputs(3, 2, 7);
         let mut eval = ExactEvaluator::new();
-        let bwd = cell.run_sequence(0, 1, &seq, true, &mut eval).unwrap();
+        let bwd = cell
+            .run_sequences_batch(0, 1, &[seq.as_slice()], true, &mut eval)
+            .unwrap()
+            .remove(0);
         let mut rev = seq.clone();
         rev.reverse();
-        let fwd_on_rev = cell.run_sequence(0, 1, &rev, false, &mut eval).unwrap();
+        let fwd_on_rev = cell
+            .run_sequences_batch(0, 1, &[rev.as_slice()], false, &mut eval)
+            .unwrap()
+            .remove(0);
         // bwd[t] corresponds to fwd_on_rev[n-1-t]
         for t in 0..seq.len() {
             let a = &bwd[t];

@@ -45,7 +45,6 @@ pub mod layer;
 pub mod lstm;
 pub mod network;
 pub mod scheduler;
-pub mod scratch;
 
 pub use batch::{BatchScratch, BatchState};
 pub use config::{CellKind, DeepRnnConfig, Direction};
@@ -55,12 +54,11 @@ pub use evaluator::{
     CountingEvaluator, ExactEvaluator, NeuronEvaluator, NeuronRef, PerNeuronEvaluator,
 };
 pub use gate::{Gate, GateId, GateKind};
-pub use gru::{GruCell, GruState};
+pub use gru::GruCell;
 pub use layer::{Cell, Layer};
-pub use lstm::{LstmCell, LstmState};
+pub use lstm::LstmCell;
 pub use network::DeepRnn;
 pub use scheduler::{FinishedLane, LaneScheduler, LaneSnapshot, RefillPolicy, HOIST_BLOCK};
-pub use scratch::CellScratch;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, RnnError>;

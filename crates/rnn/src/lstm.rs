@@ -4,31 +4,9 @@ use crate::batch::{BatchScratch, BatchState};
 use crate::error::RnnError;
 use crate::evaluator::NeuronEvaluator;
 use crate::gate::{Gate, GateId, GateKind};
-use crate::scratch::CellScratch;
 use crate::Result;
 use nfm_tensor::activation::Activation;
 use nfm_tensor::rng::DeterministicRng;
-use nfm_tensor::Vector;
-
-/// The recurrent state carried by an LSTM cell between timesteps: the
-/// hidden output `h_t` and the cell state `c_t`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LstmState {
-    /// Hidden output `h_t`.
-    pub h: Vector,
-    /// Cell state `c_t`.
-    pub c: Vector,
-}
-
-impl LstmState {
-    /// Zero-initialized state for a cell with `hidden` neurons.
-    pub fn zeros(hidden: usize) -> Self {
-        LstmState {
-            h: Vector::zeros(hidden),
-            c: Vector::zeros(hidden),
-        }
-    }
-}
 
 /// An LSTM cell (Equations 1–6 of the paper):
 ///
@@ -173,96 +151,6 @@ impl LstmCell {
         self.hidden_size() * GateKind::LSTM.len()
     }
 
-    /// Advances the cell by one timestep, writing the next state into
-    /// `next` and reusing the caller-owned `scratch` buffers: the
-    /// steady-state path performs zero allocations.
-    ///
-    /// `layer`/`direction` locate this cell inside the deep network so the
-    /// evaluator can key its memoization tables; `timestep` is the element
-    /// index within the current sequence.  `state` and `next` must be
-    /// distinct.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_into(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &[f32],
-        state: &LstmState,
-        next: &mut LstmState,
-        scratch: &mut CellScratch,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<()> {
-        let hidden = self.hidden_size();
-        if state.h.len() != hidden || state.c.len() != hidden {
-            return Err(RnnError::InvalidConfig {
-                what: format!(
-                    "LSTM state width {} does not match hidden size {}",
-                    state.h.len(),
-                    hidden
-                ),
-            });
-        }
-        next.h.resize(hidden, 0.0);
-        next.c.resize(hidden, 0.0);
-        let id = |kind| GateId::new(layer, direction, kind);
-        let h_prev = state.h.as_slice();
-        let c_prev = state.c.as_slice();
-        let (ib, fb, gb) = scratch.bufs(hidden);
-        self.input.evaluate_into(
-            id(GateKind::Input),
-            timestep,
-            x,
-            h_prev,
-            Some(c_prev),
-            evaluator,
-            ib,
-        )?;
-        self.forget.evaluate_into(
-            id(GateKind::Forget),
-            timestep,
-            x,
-            h_prev,
-            Some(c_prev),
-            evaluator,
-            fb,
-        )?;
-        self.candidate.evaluate_into(
-            id(GateKind::Candidate),
-            timestep,
-            x,
-            h_prev,
-            None,
-            evaluator,
-            gb,
-        )?;
-        // c_t = f_t ⊙ c_{t-1} + i_t ⊙ g_t
-        for (n, c_next) in next.c.as_mut_slice().iter_mut().enumerate() {
-            *c_next = fb[n] * c_prev[n] + ib[n] * gb[n];
-        }
-        // The output-gate peephole uses the previous cell state (see the
-        // cell docs); `ib` is free again and holds o_t.
-        self.output.evaluate_into(
-            id(GateKind::Output),
-            timestep,
-            x,
-            h_prev,
-            Some(c_prev),
-            evaluator,
-            ib,
-        )?;
-        // h_t = o_t ⊙ ϕ(c_t)
-        let c_next = next.c.as_slice();
-        for (n, h_next) in next.h.as_mut_slice().iter_mut().enumerate() {
-            *h_next = ib[n] * c_next[n].tanh();
-        }
-        Ok(())
-    }
-
     /// Advances the first `lanes` lanes of a batch by one timestep,
     /// writing the next lane-striped state into `next` and reusing the
     /// caller-owned `scratch`: the steady-state path performs zero
@@ -273,9 +161,9 @@ impl LstmCell {
     /// (`lanes * input_size`).  `hoisted`, when present, supplies the
     /// pre-computed input projections `W_x·x_t` for this timestep, one
     /// lane-striped slice (`lanes * hidden`) per gate in
-    /// [`GateKind::LSTM`] order.  Lane `l`'s next state is bit-identical
-    /// to a single-sequence [`LstmCell::step_into`] over lane `l`'s
-    /// vectors.
+    /// [`GateKind::LSTM`] order.  One lane is the single-sequence step;
+    /// every lane's next state is independent of the others, bit for
+    /// bit.
     ///
     /// # Errors
     ///
@@ -366,7 +254,6 @@ impl LstmCell {
             gb,
         )?;
         // c_t = f_t ⊙ c_{t-1} + i_t ⊙ g_t, elementwise over all lanes
-        // (the per-index scalar order of step_into).
         for (n, c_next) in next.c_prefix_mut(lanes).iter_mut().enumerate() {
             *c_next = fb[n] * c_prev[n] + ib[n] * gb[n];
         }
@@ -389,37 +276,6 @@ impl LstmCell {
             *h = ib[n] * c_next[n].tanh();
         }
         Ok(())
-    }
-
-    /// Advances the cell by one timestep, returning a freshly allocated
-    /// state.  Sequence loops use [`LstmCell::step_into`] with reused
-    /// buffers instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` or the state widths do not match the cell.
-    pub fn step(
-        &self,
-        layer: usize,
-        direction: usize,
-        timestep: usize,
-        x: &Vector,
-        state: &LstmState,
-        evaluator: &mut dyn NeuronEvaluator,
-    ) -> Result<LstmState> {
-        let mut next = LstmState::zeros(self.hidden_size());
-        let mut scratch = CellScratch::for_hidden(self.hidden_size());
-        self.step_into(
-            layer,
-            direction,
-            timestep,
-            x.as_slice(),
-            state,
-            &mut next,
-            &mut scratch,
-            evaluator,
-        )?;
-        Ok(next)
     }
 }
 
@@ -445,20 +301,38 @@ mod tests {
         assert_eq!(c.gate_kinds().len(), 4);
     }
 
+    /// One single-sequence timestep: a one-lane batch step.
+    fn step(
+        c: &LstmCell,
+        t: usize,
+        x: &[f32],
+        state: &BatchState,
+        eval: &mut dyn NeuronEvaluator,
+    ) -> Result<BatchState> {
+        let mut next = BatchState::zeros(1, c.hidden_size());
+        let mut scratch = BatchScratch::new();
+        c.step_batch_into(0, 0, t, 1, x, state, &mut next, &mut scratch, None, eval)?;
+        Ok(next)
+    }
+
+    fn norm_inf(v: &[f32]) -> f32 {
+        v.iter().fold(0.0, |m, x| m.max(x.abs()))
+    }
+
     #[test]
     fn step_produces_bounded_outputs() {
         let c = cell(6, 4, 2);
-        let mut state = LstmState::zeros(4);
+        let mut state = BatchState::zeros(1, 4);
         let mut eval = ExactEvaluator::new();
         let mut rng = DeterministicRng::seed_from_u64(9);
         for t in 0..20 {
-            let x = Vector::from_fn(6, |_| rng.uniform(-1.0, 1.0));
-            state = c.step(0, 0, t, &x, &state, &mut eval).unwrap();
+            let x: Vec<f32> = (0..6).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            state = step(&c, t, &x, &state, &mut eval).unwrap();
             // |h| <= 1 because h = σ(...) ⊙ tanh(c); c is bounded by the
             // forget/input gate dynamics for bounded inputs.
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
-            assert!(state.h.iter().all(|v| v.is_finite()));
-            assert!(state.c.iter().all(|v| v.is_finite()));
+            assert!(norm_inf(state.h_lane(0)) <= 1.0 + 1e-5);
+            assert!(state.h_lane(0).iter().all(|v| v.is_finite()));
+            assert!(state.c_lane(0).iter().all(|v| v.is_finite()));
         }
         assert_eq!(eval.evaluations(), 20 * 16);
     }
@@ -466,38 +340,68 @@ mod tests {
     #[test]
     fn step_is_deterministic() {
         let c = cell(3, 5, 7);
-        let x = Vector::from(vec![0.1, -0.3, 0.7]);
-        let s0 = LstmState::zeros(5);
-        let mut e1 = ExactEvaluator::new();
-        let mut e2 = ExactEvaluator::new();
-        let a = c.step(0, 0, 0, &x, &s0, &mut e1).unwrap();
-        let b = c.step(0, 0, 0, &x, &s0, &mut e2).unwrap();
+        let x = [0.1, -0.3, 0.7];
+        let s0 = BatchState::zeros(1, 5);
+        let a = step(&c, 0, &x, &s0, &mut ExactEvaluator::new()).unwrap();
+        let b = step(&c, 0, &x, &s0, &mut ExactEvaluator::new()).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lanes_step_independently() {
+        // Lane 1 of a two-lane step equals a one-lane step over lane 1's
+        // input and state, bit for bit.
+        let c = cell(3, 4, 8);
+        let mut rng = DeterministicRng::seed_from_u64(12);
+        let xs: Vec<f32> = (0..6).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let (h1, c1): (Vec<f32>, Vec<f32>) = (0..4)
+            .map(|_| (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+            .unzip();
+        let mut state = BatchState::zeros(2, 4);
+        state.set_lane(1, &h1, &c1);
+        let mut next = BatchState::zeros(2, 4);
+        let mut eval = ExactEvaluator::new();
+        c.step_batch_into(
+            0,
+            0,
+            0,
+            2,
+            &xs,
+            &state,
+            &mut next,
+            &mut BatchScratch::new(),
+            None,
+            &mut eval,
+        )
+        .unwrap();
+        let mut lone = BatchState::zeros(1, 4);
+        lone.set_lane(0, &h1, &c1);
+        let lone = step(&c, 0, &xs[3..], &lone, &mut eval).unwrap();
+        assert_eq!(next.h_lane(1), lone.h_lane(0));
+        assert_eq!(next.c_lane(1), lone.c_lane(0));
     }
 
     #[test]
     fn zero_input_zero_state_gives_small_output() {
         let c = cell(4, 4, 3);
-        let mut eval = ExactEvaluator::new();
-        let out = c
-            .step(0, 0, 0, &Vector::zeros(4), &LstmState::zeros(4), &mut eval)
-            .unwrap();
+        let out = step(
+            &c,
+            0,
+            &[0.0; 4],
+            &BatchState::zeros(1, 4),
+            &mut ExactEvaluator::new(),
+        )
+        .unwrap();
         // With zero inputs only the biases contribute, so outputs stay small.
-        assert!(out.h.norm_inf() < 0.5);
+        assert!(norm_inf(out.h_lane(0)) < 0.5);
     }
 
     #[test]
     fn step_rejects_bad_widths() {
         let c = cell(4, 4, 4);
         let mut eval = ExactEvaluator::new();
-        let bad_x = Vector::zeros(3);
-        assert!(c
-            .step(0, 0, 0, &bad_x, &LstmState::zeros(4), &mut eval)
-            .is_err());
-        let bad_state = LstmState::zeros(2);
-        assert!(c
-            .step(0, 0, 0, &Vector::zeros(4), &bad_state, &mut eval)
-            .is_err());
+        assert!(step(&c, 0, &[0.0; 3], &BatchState::zeros(1, 4), &mut eval).is_err());
+        assert!(step(&c, 0, &[0.0; 4], &BatchState::zeros(1, 2), &mut eval).is_err());
     }
 
     #[test]
@@ -526,7 +430,7 @@ mod tests {
         let mut mk = |act, bias: f32| {
             let wx = nfm_tensor::init::Initializer::XavierUniform.matrix(&mut rng, 2, 2);
             let wh = nfm_tensor::init::Initializer::XavierUniform.matrix(&mut rng, 2, 2);
-            Gate::new(wx, wh, Vector::filled(2, bias), None, act).unwrap()
+            Gate::new(wx, wh, nfm_tensor::Vector::filled(2, bias), None, act).unwrap()
         };
         let input = mk(Activation::Sigmoid, -30.0);
         let forget = mk(Activation::Sigmoid, 0.0);
@@ -534,17 +438,8 @@ mod tests {
         let output = mk(Activation::Sigmoid, 0.0);
         let cell = LstmCell::new(input, forget, candidate, output).unwrap();
         let mut eval = ExactEvaluator::new();
-        let state = cell
-            .step(
-                0,
-                0,
-                0,
-                &Vector::from(vec![1.0, -1.0]),
-                &LstmState::zeros(2),
-                &mut eval,
-            )
-            .unwrap();
-        assert!(state.c.norm_inf() < 1e-5);
-        assert!(state.h.norm_inf() < 1e-5);
+        let state = step(&cell, 0, &[1.0, -1.0], &BatchState::zeros(1, 2), &mut eval).unwrap();
+        assert!(norm_inf(state.c_lane(0)) < 1e-5);
+        assert!(norm_inf(state.h_lane(0)) < 1e-5);
     }
 }

@@ -2,8 +2,8 @@
 //! seeded deterministic sampling loops (the container has no `proptest`).
 
 use nfm_rnn::{
-    CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GruCell, GruState, LstmCell,
-    LstmState,
+    BatchScratch, BatchState, CellKind, DeepRnn, DeepRnnConfig, Direction, ExactEvaluator, GruCell,
+    LstmCell,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Vector;
@@ -15,6 +15,13 @@ fn sequence(len: usize, width: usize, seed: u64) -> Vec<Vector> {
         .collect()
 }
 
+fn norm_inf(v: &[f32]) -> f32 {
+    v.iter().fold(0.0, |m, x| m.max(x.abs()))
+}
+
+// The cell-level properties step one-lane batches: a single sequence
+// is one lane.
+
 #[test]
 fn gru_hidden_state_is_a_convex_combination() {
     let mut outer = DeterministicRng::seed_from_u64(10);
@@ -25,11 +32,25 @@ fn gru_hidden_state_is_a_convex_combination() {
         // it can never leave [-1, 1].
         let mut rng = DeterministicRng::seed_from_u64(seed);
         let cell = GruCell::random(5, 7, &mut rng).unwrap();
-        let mut state = GruState::zeros(7);
+        let (mut state, mut next) = (BatchState::zeros(1, 7), BatchState::zeros(1, 7));
+        let mut scratch = BatchScratch::new();
         let mut eval = ExactEvaluator::new();
         for (t, x) in sequence(steps, 5, seed ^ 0xABC).iter().enumerate() {
-            state = cell.step(0, 0, t, x, &state, &mut eval).unwrap();
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
+            cell.step_batch_into(
+                0,
+                0,
+                t,
+                1,
+                x.as_slice(),
+                &state,
+                &mut next,
+                &mut scratch,
+                None,
+                &mut eval,
+            )
+            .unwrap();
+            std::mem::swap(&mut state, &mut next);
+            assert!(norm_inf(state.h_lane(0)) <= 1.0 + 1e-5);
         }
     }
 }
@@ -42,12 +63,26 @@ fn lstm_hidden_output_is_bounded_by_one() {
         let steps = 1 + outer.index(9);
         let mut rng = DeterministicRng::seed_from_u64(seed);
         let cell = LstmCell::random(4, 6, true, &mut rng).unwrap();
-        let mut state = LstmState::zeros(6);
+        let (mut state, mut next) = (BatchState::zeros(1, 6), BatchState::zeros(1, 6));
+        let mut scratch = BatchScratch::new();
         let mut eval = ExactEvaluator::new();
         for (t, x) in sequence(steps, 4, seed ^ 0xDEF).iter().enumerate() {
-            state = cell.step(0, 0, t, x, &state, &mut eval).unwrap();
-            assert!(state.h.norm_inf() <= 1.0 + 1e-5);
-            assert!(state.c.iter().all(|v| v.is_finite()));
+            cell.step_batch_into(
+                0,
+                0,
+                t,
+                1,
+                x.as_slice(),
+                &state,
+                &mut next,
+                &mut scratch,
+                None,
+                &mut eval,
+            )
+            .unwrap();
+            std::mem::swap(&mut state, &mut next);
+            assert!(norm_inf(state.h_lane(0)) <= 1.0 + 1e-5);
+            assert!(state.c_lane(0).iter().all(|v| v.is_finite()));
         }
     }
 }

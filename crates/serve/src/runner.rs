@@ -46,46 +46,22 @@ impl RunOutcome {
     }
 }
 
-/// Estimated work (in weight-MAC units: one fetched weight multiplied
-/// and accumulated once) below which [`MemoizedRunner::run`] stays on a
-/// single engine worker: spawning and joining worker threads plus
-/// merging their statistics costs tens of microseconds, so small runs
-/// lose more to spawn overhead than they gain from extra cores (the
-/// `runner/parallel` regression in early `BENCH_inference.json`
-/// snapshots).  At roughly one MAC per nanosecond per core this
-/// threshold corresponds to tens of milliseconds of single-core work —
-/// comfortably past the spawn-amortization point.
-///
-/// [`MemoizedRunner::with_workers`] bypasses the heuristic entirely: an
-/// explicit worker count always fans out.
-const SPAWN_AMORTIZATION_MACS: u64 = 50_000_000;
-
-/// Estimated cost of running `sequences` through `network`, in
-/// weight-MAC units (`total timesteps x recurrent weights per step`).
-/// Memoized predictors skip some of this work, but the estimate only
-/// gates the spawn decision and an upper bound is the safe side.
-fn estimated_work_macs(network: &DeepRnn, sequences: &[Vec<Vector>]) -> u64 {
-    let per_step = network.weight_count() as u64;
-    let timesteps: u64 = sequences.iter().map(|s| s.len() as u64).sum();
-    timesteps.saturating_mul(per_step)
-}
-
 /// Runs a workload end-to-end under a chosen predictor — a thin
 /// wrapper over the request [`Engine`](crate::Engine): every sequence
 /// becomes one [`InferenceRequest`], and the outcome is the responses
 /// reassembled in submission order with their statistics merged.
 ///
 /// [`MemoizedRunner::run`] processes sequences independently (one lane
-/// per worker, the classic per-sequence hot path), fanned out over
-/// engine workers when the estimated work amortizes the threads —
+/// per worker, the classic per-sequence hot path), fanned out over one
+/// engine worker per available core (at most one per sequence) —
 /// outputs and statistics are *identical* to a sequential run either
 /// way.  [`MemoizedRunner::run_batched`] gives the engine `batch_size`
 /// lanes so gates evaluate many sequences per weight stream (the
 /// unified lane scheduler's block policy with mid-wave refill on
 /// unidirectional stacks, layer-lockstep waves otherwise).
 ///
-/// [`MemoizedRunner::with_workers`] forces a worker count regardless
-/// of the heuristic; `with_workers(1)` is the deterministic-scheduling
+/// [`MemoizedRunner::with_workers`] forces a worker count;
+/// `with_workers(1)` is the deterministic-scheduling
 /// setting: exactly one engine worker, requests processed in
 /// submission order.  Note that every `run` call builds a transient
 /// engine — one worker thread spawn/join plus an owned copy of each
@@ -169,16 +145,10 @@ impl MemoizedRunner {
     pub fn run(&self, workload: &impl InferenceWorkload) -> RnnResult<RunOutcome> {
         let network = workload.network();
         let sequences = workload.input_sequences();
-        let workers = match self.workers {
-            // Explicit override: always fan out as requested.
-            Some(n) => n.min(sequences.len().max(1)),
-            // Auto: only spawn when the work amortizes the threads.
-            None if estimated_work_macs(network, sequences) < SPAWN_AMORTIZATION_MACS => 1,
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(sequences.len().max(1)),
-        };
+        let workers = self
+            .workers
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .min(sequences.len().max(1));
         self.run_with_engine(network, sequences, 1, workers)
     }
 
@@ -428,33 +398,6 @@ mod tests {
         assert!(MemoizedRunner::exact().run(&w).is_err());
         assert!(MemoizedRunner::exact().with_workers(1).run(&w).is_err());
         assert!(MemoizedRunner::exact().run_batched(&w, 2).is_err());
-    }
-
-    #[test]
-    fn estimated_work_scales_with_timesteps_and_weights() {
-        let w = workload(2, 10);
-        let per_step = w.net.weight_count() as u64;
-        assert_eq!(estimated_work_macs(&w.net, &w.seqs), 2 * 10 * per_step);
-        assert_eq!(estimated_work_macs(&w.net, &[]), 0);
-        // Small test workloads sit far below the spawn-amortization
-        // threshold, so the auto-parallel path must fall back to one
-        // worker (with_workers still forces a fan-out).
-        assert!(estimated_work_macs(&w.net, &w.seqs) < SPAWN_AMORTIZATION_MACS);
-    }
-
-    #[test]
-    fn small_runs_fall_back_to_one_worker_but_stay_identical() {
-        // Below the threshold the auto runner must behave exactly like
-        // `with_workers(1)` (both are one-worker engines), and the
-        // explicit override must still match bit for bit.
-        let w = workload(5, 8);
-        let auto = MemoizedRunner::exact().run(&w).unwrap();
-        let seq = MemoizedRunner::exact().with_workers(1).run(&w).unwrap();
-        let forced = MemoizedRunner::exact().with_workers(3).run(&w).unwrap();
-        assert_eq!(auto.outputs, seq.outputs);
-        assert_eq!(auto.stats, seq.stats);
-        assert_eq!(forced.outputs, seq.outputs);
-        assert_eq!(forced.stats, seq.stats);
     }
 
     #[test]

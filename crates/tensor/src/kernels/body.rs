@@ -190,90 +190,11 @@ impl DotOps for ScalarOps {
     }
 }
 
-/// `out[r] = m[r]·x` — rows paired through [`DotOps::dot2`] so wide
-/// tiers keep two accumulator sets in flight per streamed `x`.
-///
-/// # Safety
-///
-/// CPU must support `O`'s features; `m.len() == out.len() * cols` and
-/// `x.len() == cols`.
-#[inline(always)]
-pub(crate) unsafe fn matvec_body<O: DotOps>(
-    o: O,
-    m: &[f32],
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
-    let rows = out.len();
-    let mut r = 0;
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        while r + 2 <= rows {
-            let [d0, d1] = o.dot2(
-                &m[r * cols..(r + 1) * cols],
-                &m[(r + 1) * cols..(r + 2) * cols],
-                x,
-            );
-            out[r] = d0;
-            out[r + 1] = d1;
-            r += 2;
-        }
-        if r < rows {
-            out[r] = o.dot(&m[r * cols..(r + 1) * cols], x);
-        }
-    }
-}
-
-/// `out[r] = wx[r]·x + wh[r]·h` in the canonical `fwd + rec` order,
-/// rows paired like [`matvec_body`].
-///
-/// # Safety
-///
-/// CPU must support `O`'s features; operand lengths must be consistent
-/// (`wx.len() == out.len() * xc`, `wh.len() == out.len() * hc`,
-/// `x.len() == xc`, `h.len() == hc`).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn dual_matvec_body<O: DotOps>(
-    o: O,
-    wx: &[f32],
-    wh: &[f32],
-    xc: usize,
-    hc: usize,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) {
-    let rows = out.len();
-    let mut r = 0;
-    // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        while r + 2 <= rows {
-            let fwd = o.dot2(
-                &wx[r * xc..(r + 1) * xc],
-                &wx[(r + 1) * xc..(r + 2) * xc],
-                x,
-            );
-            let rec = o.dot2(
-                &wh[r * hc..(r + 1) * hc],
-                &wh[(r + 1) * hc..(r + 2) * hc],
-                h,
-            );
-            // Keep the `fwd + rec` order of Gate::neuron_dot so both
-            // paths are bit-identical.
-            out[r] = fwd[0] + rec[0];
-            out[r + 1] = fwd[1] + rec[1];
-            r += 2;
-        }
-        if r < rows {
-            out[r] = o.dot(&wx[r * xc..(r + 1) * xc], x) + o.dot(&wh[r * hc..(r + 1) * hc], h);
-        }
-    }
-}
-
 /// Lane-striped `out[l*rows + r] = m[r]·xs[l]` — row loop outer so each
-/// weight row streams once, lanes paired through [`DotOps::dot2`].
+/// weight row streams once.  Lanes are paired through [`DotOps::dot2`]
+/// on the shared row; a leftover odd lane (every row of a one-lane
+/// call) pairs *rows* through `dot2` on its shared vector instead, so
+/// wide tiers keep two accumulator sets in flight either way.
 ///
 /// # Safety
 ///
@@ -290,29 +211,12 @@ pub(crate) unsafe fn matmul_body<O: DotOps>(
     out: &mut [f32],
 ) {
     // SAFETY (all calls below): forwarded caller contract.
-    unsafe {
-        for r in 0..rows {
-            let row = &m[r * cols..(r + 1) * cols];
-            let mut l = 0;
-            while l + 2 <= lanes {
-                let [d0, d1] = o.dot2(
-                    &xs[l * cols..(l + 1) * cols],
-                    &xs[(l + 1) * cols..(l + 2) * cols],
-                    row,
-                );
-                out[l * rows + r] = d0;
-                out[(l + 1) * rows + r] = d1;
-                l += 2;
-            }
-            if l < lanes {
-                out[l * rows + r] = o.dot(row, &xs[l * cols..(l + 1) * cols]);
-            }
-        }
-    }
+    unsafe { matmul_add_rows(o, m, rows, cols, xs, lanes, None, out) }
 }
 
 /// Lane-striped `out[l*rows + r] = base[l*rows + r] + m[r]·xs[l]` (the
-/// hoisted recurrent half); scalar order `base + rec`.
+/// hoisted recurrent half); scalar order `base + rec`, traversal as in
+/// [`matmul_body`].
 ///
 /// # Safety
 ///
@@ -330,26 +234,60 @@ pub(crate) unsafe fn matmul_add_body<O: DotOps>(
     out: &mut [f32],
 ) {
     // SAFETY (all calls below): forwarded caller contract.
+    unsafe { matmul_add_rows(o, m, rows, cols, xs, lanes, Some(base), out) }
+}
+
+/// The shared loop nest of [`matmul_body`] and [`matmul_add_body`]:
+/// rows advance two at a time; within a row pair each row serves every
+/// lane pair, then the leftover odd lane takes both rows in one `dot2`.
+/// Every `(row, lane)` dot is independent and runs the shared
+/// reduction order, so the traversal is bit-transparent.
+///
+/// # Safety
+///
+/// Same contract as [`matmul_add_body`] (`base` optional).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn matmul_add_rows<O: DotOps>(
+    o: O,
+    m: &[f32],
+    rows: usize,
+    cols: usize,
+    xs: &[f32],
+    lanes: usize,
+    base: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let row = |r: usize| &m[r * cols..(r + 1) * cols];
+    let lane = |l: usize| &xs[l * cols..(l + 1) * cols];
+    let mut put = |i: usize, d: f32| out[i] = base.map_or(d, |b| b[i] + d);
+    let paired = lanes - lanes % 2;
+    // The leftover odd lane's vector and its output offset.
+    let odd = (paired < lanes).then(|| (lane(paired), paired * rows));
+    let mut r = 0;
+    // SAFETY (all calls below): forwarded caller contract.
     unsafe {
-        for r in 0..rows {
-            let row = &m[r * cols..(r + 1) * cols];
-            let mut l = 0;
-            while l + 2 <= lanes {
-                let [d0, d1] = o.dot2(
-                    &xs[l * cols..(l + 1) * cols],
-                    &xs[(l + 1) * cols..(l + 2) * cols],
-                    row,
-                );
-                let i0 = l * rows + r;
-                let i1 = (l + 1) * rows + r;
-                out[i0] = base[i0] + d0;
-                out[i1] = base[i1] + d1;
-                l += 2;
+        while r < rows {
+            let span = if r + 2 <= rows { 2 } else { 1 };
+            if paired > 0 {
+                for rr in r..r + span {
+                    for l in (0..paired).step_by(2) {
+                        let [d0, d1] = o.dot2(lane(l), lane(l + 1), row(rr));
+                        put(l * rows + rr, d0);
+                        put((l + 1) * rows + rr, d1);
+                    }
+                }
             }
-            if l < lanes {
-                let idx = l * rows + r;
-                out[idx] = base[idx] + o.dot(row, &xs[l * cols..(l + 1) * cols]);
+            if let Some((x, at)) = odd {
+                if span == 2 {
+                    let [d0, d1] = o.dot2(row(r), row(r + 1), x);
+                    put(at + r, d0);
+                    put(at + r + 1, d1);
+                } else {
+                    put(at + r, o.dot(row(r), x));
+                }
             }
+            r += span;
         }
     }
 }
@@ -382,31 +320,44 @@ pub(crate) unsafe fn dual_matmul_body<O: DotOps>(
     out: &mut [f32],
 ) {
     let lane_quads = lanes - lanes % TILE;
+    // Rows advance in tiles while lane quads need them; without quads
+    // (fewer than four lanes) one block covers every row.
+    let block = if lane_quads > 0 { TILE } else { rows.max(1) };
+    let rx = |r: usize| &wx[r * xc..(r + 1) * xc];
+    let rh = |r: usize| &wh[r * hc..(r + 1) * hc];
     // SAFETY (all calls below): forwarded caller contract.
     unsafe {
-        for r0 in (0..rows).step_by(TILE) {
-            let r_hi = (r0 + TILE).min(rows);
+        for r0 in (0..rows).step_by(block) {
+            let r_hi = (r0 + block).min(rows);
             for l0 in (0..lane_quads).step_by(TILE) {
                 let x = |i: usize| &xs[(l0 + i) * xc..(l0 + i + 1) * xc];
                 let h = |i: usize| &hs[(l0 + i) * hc..(l0 + i + 1) * hc];
                 for r in r0..r_hi {
-                    let rx = &wx[r * xc..(r + 1) * xc];
-                    let rh = &wh[r * hc..(r + 1) * hc];
-                    let fwd = o.dot_quad(rx, x(0), x(1), x(2), x(3));
-                    let rec = o.dot_quad(rh, h(0), h(1), h(2), h(3));
+                    let fwd = o.dot_quad(rx(r), x(0), x(1), x(2), x(3));
+                    let rec = o.dot_quad(rh(r), h(0), h(1), h(2), h(3));
                     for i in 0..TILE {
                         // Keep the `fwd + rec` order of Gate::neuron_dot.
                         out[(l0 + i) * rows + r] = fwd[i] + rec[i];
                     }
                 }
             }
-            // Remainder lanes (< TILE of them) fall back to single dots.
+            // Remainder lanes (< TILE of them, every lane of a one-lane
+            // call) pair the block's rows through `dot2` on the shared
+            // lane vectors.
             for l in lane_quads..lanes {
                 let xl = &xs[l * xc..(l + 1) * xc];
                 let hl = &hs[l * hc..(l + 1) * hc];
-                for r in r0..r_hi {
-                    out[l * rows + r] =
-                        o.dot(&wx[r * xc..(r + 1) * xc], xl) + o.dot(&wh[r * hc..(r + 1) * hc], hl);
+                let mut r = r0;
+                while r + 2 <= r_hi {
+                    let fwd = o.dot2(rx(r), rx(r + 1), xl);
+                    let rec = o.dot2(rh(r), rh(r + 1), hl);
+                    // Keep the `fwd + rec` order of Gate::neuron_dot.
+                    out[l * rows + r] = fwd[0] + rec[0];
+                    out[l * rows + r + 1] = fwd[1] + rec[1];
+                    r += 2;
+                }
+                if r < r_hi {
+                    out[l * rows + r] = o.dot(rx(r), xl) + o.dot(rh(r), hl);
                 }
             }
         }
@@ -416,10 +367,7 @@ pub(crate) unsafe fn dual_matmul_body<O: DotOps>(
 /// The scalar tier: safe wrappers instantiating the shared bodies with
 /// [`ScalarOps`] (no intrinsics, so no feature requirements).
 pub(crate) mod scalar {
-    use super::{
-        dual_matmul_body, dual_matvec_body, matmul_add_body, matmul_body, matvec_body, DotOps,
-        ScalarOps,
-    };
+    use super::{dual_matmul_body, matmul_add_body, matmul_body, DotOps, ScalarOps};
 
     #[inline]
     pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -437,26 +385,6 @@ pub(crate) mod scalar {
     ) -> [f32; 4] {
         // SAFETY: ScalarOps uses no intrinsics.
         unsafe { ScalarOps.dot_quad(row, x0, x1, x2, x3) }
-    }
-
-    #[inline]
-    pub(crate) fn matvec(m: &[f32], cols: usize, x: &[f32], out: &mut [f32]) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { matvec_body(ScalarOps, m, cols, x, out) }
-    }
-
-    #[inline]
-    pub(crate) fn dual_matvec(
-        wx: &[f32],
-        wh: &[f32],
-        xc: usize,
-        hc: usize,
-        x: &[f32],
-        h: &[f32],
-        out: &mut [f32],
-    ) {
-        // SAFETY: ScalarOps uses no intrinsics.
-        unsafe { dual_matvec_body(ScalarOps, wx, wh, xc, hc, x, h, out) }
     }
 
     #[inline]

@@ -1,8 +1,10 @@
 //! Fused, allocation-free inference kernels with runtime SIMD dispatch.
 //!
 //! These are the hot loops of the whole reproduction: every recurrent
-//! gate evaluation reduces to two dense matrix-vector products over the
-//! gate's weight rows.  The kernels here are written so that
+//! gate evaluation reduces to two dense products of the gate's weight
+//! rows with `lanes` lane-striped input vectors — one lane is the
+//! single-sequence case, there is no separate matrix-vector kernel.
+//! The kernels here are written so that
 //!
 //! * the caller owns every output buffer (`*_into` signatures — the
 //!   steady-state inference path performs no allocation),
@@ -135,155 +137,6 @@ pub fn dot_quad_unchecked_on(
     dispatch!(backend, dot_quad(row, x0, x1, x2, x3))
 }
 
-fn validate_matvec(m: &Matrix, x: &[f32], out: &[f32]) -> Result<()> {
-    if x.len() != m.cols() {
-        return Err(TensorError::ShapeMismatch {
-            rows: m.rows(),
-            cols: m.cols(),
-            vec_len: x.len(),
-            op: "matvec_into",
-        });
-    }
-    if out.len() != m.rows() {
-        return Err(TensorError::LengthMismatch {
-            left: out.len(),
-            right: m.rows(),
-            op: "matvec_into",
-        });
-    }
-    Ok(())
-}
-
-/// Matrix-vector product into a caller-owned buffer: `out = m * x`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `x.len() != m.cols()` or
-/// [`TensorError::LengthMismatch`] if `out.len() != m.rows()`.
-pub fn matvec_into(m: &Matrix, x: &[f32], out: &mut [f32]) -> Result<()> {
-    validate_matvec(m, x, out)?;
-    dispatch!(backend::active(), matvec(m.as_slice(), m.cols(), x, out));
-    Ok(())
-}
-
-/// [`matvec_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`matvec_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn matvec_into_on(
-    backend: KernelBackend,
-    m: &Matrix,
-    x: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    validate_matvec(m, x, out)?;
-    dispatch!(backend, matvec(m.as_slice(), m.cols(), x, out));
-    Ok(())
-}
-
-fn validate_dual_matvec(wx: &Matrix, wh: &Matrix, x: &[f32], h: &[f32], out: &[f32]) -> Result<()> {
-    if x.len() != wx.cols() {
-        return Err(TensorError::ShapeMismatch {
-            rows: wx.rows(),
-            cols: wx.cols(),
-            vec_len: x.len(),
-            op: "dual_matvec_into(x)",
-        });
-    }
-    if h.len() != wh.cols() {
-        return Err(TensorError::ShapeMismatch {
-            rows: wh.rows(),
-            cols: wh.cols(),
-            vec_len: h.len(),
-            op: "dual_matvec_into(h)",
-        });
-    }
-    if wx.rows() != wh.rows() || out.len() != wx.rows() {
-        return Err(TensorError::LengthMismatch {
-            left: out.len(),
-            right: wx.rows(),
-            op: "dual_matvec_into(out)",
-        });
-    }
-    Ok(())
-}
-
-/// Fused dual matrix-vector product into a caller-owned buffer:
-/// `out[n] = wx[n]·x + wh[n]·h` — the pre-activation dot product of every
-/// neuron of a recurrent gate, without bias.
-///
-/// This is the batched form of the quantity the paper's fuzzy
-/// memoization scheme decides to compute or reuse, so it is exactly what
-/// the exact (baseline) evaluator runs per gate per timestep.  The
-/// scalar order is `fwd + rec` (the order of `Gate::neuron_dot`) on
-/// every dispatch tier.
-///
-/// # Errors
-///
-/// Returns a shape/length error if the operand widths are inconsistent.
-pub fn dual_matvec_into(
-    wx: &Matrix,
-    wh: &Matrix,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    validate_dual_matvec(wx, wh, x, h, out)?;
-    dispatch!(
-        backend::active(),
-        dual_matvec(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.cols(),
-            wh.cols(),
-            x,
-            h,
-            out
-        )
-    );
-    Ok(())
-}
-
-/// [`dual_matvec_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`dual_matvec_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn dual_matvec_into_on(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    assert_supported(backend);
-    validate_dual_matvec(wx, wh, x, h, out)?;
-    dispatch!(
-        backend,
-        dual_matvec(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.cols(),
-            wh.cols(),
-            x,
-            h,
-            out
-        )
-    );
-    Ok(())
-}
-
 fn validate_matmul(m: &Matrix, xs: &[f32], lanes: usize, out: &[f32]) -> Result<()> {
     if xs.len() != lanes * m.cols() {
         return Err(TensorError::ShapeMismatch {
@@ -311,10 +164,11 @@ fn validate_matmul(m: &Matrix, xs: &[f32], lanes: usize, out: &[f32]) -> Result<
 /// back (`lanes * m.rows()`).  The row loop is *outer* and the lane loop
 /// *inner*, so every weight row is streamed from memory exactly once and
 /// then reused for all lanes — this is what turns the memory-bound
-/// per-sequence matvec into a compute-dense kernel under batch>1
-/// serving.  Each `(row, lane)` product runs [`dot_unchecked`]'s
-/// reduction order, so lane `l` of a batch is bit-identical to a
-/// single-sequence [`matvec_into`] over the same vector.
+/// one-lane product into a compute-dense kernel under batch>1 serving.
+/// A one-lane call pairs rows instead (two accumulator sets per streamed
+/// input).  Each `(row, lane)` product runs [`dot_unchecked`]'s
+/// reduction order, so lane `l` of a batch is bit-identical to
+/// `m.row_dot(r, xs[l])` and to a one-lane call over the same vector.
 ///
 /// # Errors
 ///
@@ -391,12 +245,16 @@ fn validate_dual_matmul(
 /// Lane-striped dual matrix-matrix product:
 /// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l]`.
 ///
-/// The batched form of [`dual_matvec_into`]: both weight rows of a
-/// neuron are streamed once and reused across all `lanes` sequences, in
+/// The pre-activation dot product of every neuron of a recurrent gate,
+/// without bias, for `lanes` sequences — the quantity the paper's fuzzy
+/// memoization scheme decides to compute or reuse.  Both weight rows of
+/// a neuron are streamed once and reused across all lanes, in
 /// register-blocked 4 rows × 4 lanes tiles driven by
-/// [`dot_quad_unchecked`]'s accumulator sets.  The per-lane scalar order
-/// is `fwd + rec` with [`dot_unchecked`]'s reduction for each half, so
-/// every lane is bit-identical to the single-sequence path on every
+/// [`dot_quad_unchecked`]'s accumulator sets; leftover lanes (every
+/// lane of a one-lane call) pair rows through two-row dots.  The
+/// per-lane scalar order is `fwd + rec` (the order of
+/// `Gate::neuron_dot`) with [`dot_unchecked`]'s reduction for each
+/// half, so every lane is bit-identical to the per-neuron path on every
 /// dispatch tier.
 ///
 /// # Errors
@@ -548,9 +406,8 @@ pub fn matmul_add_into_on(
 /// Lane-striped fused gate pre-activation:
 /// `out[l*rows + r] = wx[r]·xs[l] + wh[r]·hs[l] + bias[r]`.
 ///
-/// The batched form of [`gate_preact_into`]; the bias is added after the
-/// dual product exactly as in the single-sequence kernel (element-wise,
-/// so the addition is bit-identical on every tier).
+/// The bias is added after [`dual_matmul_into`]'s product
+/// (element-wise, so the addition is bit-identical on every tier).
 ///
 /// # Errors
 ///
@@ -619,74 +476,11 @@ pub fn gate_preact_batch_into_on(
     Ok(())
 }
 
-/// Fused gate pre-activation into a caller-owned buffer:
-/// `out[n] = wx[n]·x + wh[n]·h + bias[n]`.
-///
-/// # Errors
-///
-/// Returns a shape/length error if the operand widths are inconsistent.
-pub fn gate_preact_into(
-    wx: &Matrix,
-    wh: &Matrix,
-    bias: &[f32],
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    gate_preact_into_on(backend::active(), wx, wh, bias, x, h, out)
-}
-
-/// [`gate_preact_into`] on an explicit dispatch tier.
-///
-/// # Errors
-///
-/// Same as [`gate_preact_into`].
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this host.
-pub fn gate_preact_into_on(
-    backend: KernelBackend,
-    wx: &Matrix,
-    wh: &Matrix,
-    bias: &[f32],
-    x: &[f32],
-    h: &[f32],
-    out: &mut [f32],
-) -> Result<()> {
-    validate_dual_matvec(wx, wh, x, h, out)?;
-    if bias.len() != out.len() {
-        return Err(TensorError::LengthMismatch {
-            left: bias.len(),
-            right: out.len(),
-            op: "gate_preact_into(bias)",
-        });
-    }
-    assert_supported(backend);
-    dispatch!(
-        backend,
-        dual_matvec(
-            wx.as_slice(),
-            wh.as_slice(),
-            wx.cols(),
-            wh.cols(),
-            x,
-            h,
-            out
-        )
-    );
-    for (o, b) in out.iter_mut().zip(bias.iter()) {
-        *o += b;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::DeterministicRng;
     use crate::vector::dot;
-    use crate::Vector;
 
     fn random_matrix(rng: &mut DeterministicRng, rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| rng.uniform(-1.0, 1.0))
@@ -751,74 +545,25 @@ mod tests {
     }
 
     #[test]
-    fn matvec_into_matches_matvec() {
-        let mut rng = DeterministicRng::seed_from_u64(3);
-        for (rows, cols) in [(1, 1), (3, 5), (8, 8), (13, 21)] {
-            let m = random_matrix(&mut rng, rows, cols);
-            let x: Vec<f32> = (0..cols).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let mut out = vec![0.0f32; rows];
-            matvec_into(&m, &x, &mut out).unwrap();
-            let reference = m.matvec(&Vector::from(x)).unwrap();
-            assert_eq!(out.as_slice(), reference.as_slice());
-        }
-    }
-
-    #[test]
-    fn matvec_into_validates_shapes() {
-        let m = Matrix::zeros(2, 3);
-        let mut out = vec![0.0; 2];
-        assert!(matvec_into(&m, &[1.0, 2.0], &mut out).is_err());
-        let mut short = vec![0.0; 1];
-        assert!(matvec_into(&m, &[1.0, 2.0, 3.0], &mut short).is_err());
-    }
-
-    #[test]
-    fn dual_matvec_matches_row_dots_bitwise() {
-        let mut rng = DeterministicRng::seed_from_u64(4);
-        let (neurons, input, hidden) = (9, 13, 9);
-        let wx = random_matrix(&mut rng, neurons, input);
-        let wh = random_matrix(&mut rng, neurons, hidden);
-        let x: Vec<f32> = (0..input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let h: Vec<f32> = (0..hidden).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let mut out = vec![0.0f32; neurons];
-        dual_matvec_into(&wx, &wh, &x, &h, &mut out).unwrap();
-        for (n, &o) in out.iter().enumerate() {
-            let reference = wx.row_dot(n, &x).unwrap() + wh.row_dot(n, &h).unwrap();
-            assert_eq!(o.to_bits(), reference.to_bits(), "neuron {n}");
-        }
-    }
-
-    #[test]
-    fn dual_matvec_validates_shapes() {
-        let wx = Matrix::zeros(2, 3);
-        let wh = Matrix::zeros(2, 2);
-        let mut out = vec![0.0; 2];
-        assert!(dual_matvec_into(&wx, &wh, &[0.0; 2], &[0.0; 2], &mut out).is_err());
-        assert!(dual_matvec_into(&wx, &wh, &[0.0; 3], &[0.0; 3], &mut out).is_err());
-        let mut short = vec![0.0; 1];
-        assert!(dual_matvec_into(&wx, &wh, &[0.0; 3], &[0.0; 2], &mut short).is_err());
-        let wh_bad = Matrix::zeros(3, 2);
-        assert!(dual_matvec_into(&wx, &wh_bad, &[0.0; 3], &[0.0; 2], &mut out).is_err());
-    }
-
-    #[test]
-    fn matmul_lane_zero_matches_matvec_bitwise() {
+    fn matmul_lanes_match_row_dots_bitwise() {
+        // One lane pairs rows; even lane counts pair lanes; odd ones do
+        // both.  Odd row counts leave a single-row tail either way.
         let mut rng = DeterministicRng::seed_from_u64(6);
-        for lanes in [1usize, 2, 4, 5] {
-            let (rows, cols) = (7, 13);
-            let m = random_matrix(&mut rng, rows, cols);
-            let xs: Vec<f32> = (0..lanes * cols).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let mut out = vec![0.0f32; lanes * rows];
-            matmul_into(&m, &xs, lanes, &mut out).unwrap();
-            for l in 0..lanes {
-                let mut single = vec![0.0f32; rows];
-                matvec_into(&m, &xs[l * cols..(l + 1) * cols], &mut single).unwrap();
-                for r in 0..rows {
-                    assert_eq!(
-                        out[l * rows + r].to_bits(),
-                        single[r].to_bits(),
-                        "lane {l} row {r}"
-                    );
+        for (rows, cols) in [(1usize, 1usize), (3, 5), (7, 13), (8, 8), (13, 21)] {
+            for lanes in [1usize, 2, 3, 4, 5] {
+                let m = random_matrix(&mut rng, rows, cols);
+                let xs: Vec<f32> = (0..lanes * cols).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                let mut out = vec![0.0f32; lanes * rows];
+                matmul_into(&m, &xs, lanes, &mut out).unwrap();
+                for l in 0..lanes {
+                    for r in 0..rows {
+                        let reference = m.row_dot(r, &xs[l * cols..(l + 1) * cols]).unwrap();
+                        assert_eq!(
+                            out[l * rows + r].to_bits(),
+                            reference.to_bits(),
+                            "{rows}x{cols} lanes {lanes}: lane {l} row {r}"
+                        );
+                    }
                 }
             }
         }
@@ -832,13 +577,17 @@ mod tests {
         let mut short = vec![0.0; 3];
         assert!(matmul_into(&m, &[0.0; 6], 2, &mut short).is_err());
         assert!(matmul_into(&m, &[0.0; 6], 2, &mut out).is_ok());
+        let mut one = vec![0.0; 2];
+        assert!(matmul_into(&m, &[1.0, 2.0], 1, &mut one).is_err());
+        assert!(matmul_into(&m, &[1.0, 2.0, 3.0], 1, &mut out[..1]).is_err());
+        assert!(matmul_into(&m, &[1.0, 2.0, 3.0], 1, &mut one).is_ok());
     }
 
     #[test]
-    fn dual_matmul_lanes_match_dual_matvec_bitwise() {
+    fn dual_matmul_lanes_match_row_dots_bitwise() {
         // Row and lane counts straddling the 4x4 tile edges: full
-        // tiles, row remainders, lane remainders and sub-tile shapes
-        // must all stay bit-identical to the single-lane kernel.
+        // tiles, row remainders, lane remainders (paired rows) and
+        // sub-tile shapes must all equal the per-neuron `fwd + rec`.
         let mut rng = DeterministicRng::seed_from_u64(7);
         for (neurons, lanes) in [
             (9usize, 3usize),
@@ -846,6 +595,7 @@ mod tests {
             (4, 8),
             (5, 5),
             (1, 1),
+            (9, 1),
             (3, 7),
             (12, 9),
             (7, 13),
@@ -860,19 +610,13 @@ mod tests {
             let mut out = vec![0.0f32; lanes * neurons];
             dual_matmul_into(&wx, &wh, &xs, &hs, lanes, &mut out).unwrap();
             for l in 0..lanes {
-                let mut single = vec![0.0f32; neurons];
-                dual_matvec_into(
-                    &wx,
-                    &wh,
-                    &xs[l * input..(l + 1) * input],
-                    &hs[l * hidden..(l + 1) * hidden],
-                    &mut single,
-                )
-                .unwrap();
+                let x = &xs[l * input..(l + 1) * input];
+                let h = &hs[l * hidden..(l + 1) * hidden];
                 for n in 0..neurons {
+                    let reference = wx.row_dot(n, x).unwrap() + wh.row_dot(n, h).unwrap();
                     assert_eq!(
                         out[l * neurons + n].to_bits(),
-                        single[n].to_bits(),
+                        reference.to_bits(),
                         "rows {neurons} lanes {lanes}: lane {l} neuron {n}"
                     );
                 }
@@ -912,6 +656,12 @@ mod tests {
         let mut short = vec![0.0; 3];
         assert!(dual_matmul_into(&wx, &wh, &[0.0; 6], &[0.0; 4], 2, &mut short).is_err());
         assert!(dual_matmul_into(&wx, &wh, &[0.0; 6], &[0.0; 4], 2, &mut out).is_ok());
+        let mut one = vec![0.0; 2];
+        assert!(dual_matmul_into(&wx, &wh, &[0.0; 2], &[0.0; 2], 1, &mut one).is_err());
+        assert!(dual_matmul_into(&wx, &wh, &[0.0; 3], &[0.0; 3], 1, &mut one).is_err());
+        assert!(dual_matmul_into(&wx, &wh, &[0.0; 3], &[0.0; 2], 1, &mut one[..1]).is_err());
+        let wh_bad = Matrix::zeros(3, 2);
+        assert!(dual_matmul_into(&wx, &wh_bad, &[0.0; 3], &[0.0; 2], 1, &mut one).is_err());
     }
 
     #[test]
@@ -941,52 +691,31 @@ mod tests {
     }
 
     #[test]
-    fn gate_preact_batch_matches_single_lane_kernel() {
+    fn gate_preact_batch_adds_bias_last() {
         let mut rng = DeterministicRng::seed_from_u64(9);
-        let (neurons, input, hidden, lanes) = (5, 4, 5, 3);
-        let wx = random_matrix(&mut rng, neurons, input);
-        let wh = random_matrix(&mut rng, neurons, hidden);
-        let bias: Vec<f32> = (0..neurons).map(|_| rng.uniform(-0.1, 0.1)).collect();
-        let xs: Vec<f32> = (0..lanes * input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let hs: Vec<f32> = (0..lanes * hidden)
-            .map(|_| rng.uniform(-1.0, 1.0))
-            .collect();
-        let mut out = vec![0.0f32; lanes * neurons];
-        gate_preact_batch_into(&wx, &wh, &bias, &xs, &hs, lanes, &mut out).unwrap();
-        for l in 0..lanes {
-            let mut single = vec![0.0f32; neurons];
-            gate_preact_into(
-                &wx,
-                &wh,
-                &bias,
-                &xs[l * input..(l + 1) * input],
-                &hs[l * hidden..(l + 1) * hidden],
-                &mut single,
-            )
-            .unwrap();
-            for n in 0..neurons {
-                assert_eq!(out[l * neurons + n].to_bits(), single[n].to_bits());
-            }
-        }
-        assert!(gate_preact_batch_into(&wx, &wh, &bias[..2], &xs, &hs, lanes, &mut out).is_err());
-    }
-
-    #[test]
-    fn gate_preact_adds_bias_last() {
-        let mut rng = DeterministicRng::seed_from_u64(5);
         let (neurons, input, hidden) = (5, 4, 5);
         let wx = random_matrix(&mut rng, neurons, input);
         let wh = random_matrix(&mut rng, neurons, hidden);
         let bias: Vec<f32> = (0..neurons).map(|_| rng.uniform(-0.1, 0.1)).collect();
-        let x: Vec<f32> = (0..input).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let h: Vec<f32> = (0..hidden).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let mut out = vec![0.0f32; neurons];
-        gate_preact_into(&wx, &wh, &bias, &x, &h, &mut out).unwrap();
-        for n in 0..neurons {
-            let reference = (wx.row_dot(n, &x).unwrap() + wh.row_dot(n, &h).unwrap()) + bias[n];
-            assert_eq!(out[n].to_bits(), reference.to_bits());
+        for lanes in [1usize, 3] {
+            let xs: Vec<f32> = (0..lanes * input).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let hs: Vec<f32> = (0..lanes * hidden)
+                .map(|_| rng.uniform(-1.0, 1.0))
+                .collect();
+            let mut out = vec![0.0f32; lanes * neurons];
+            gate_preact_batch_into(&wx, &wh, &bias, &xs, &hs, lanes, &mut out).unwrap();
+            for l in 0..lanes {
+                let x = &xs[l * input..(l + 1) * input];
+                let h = &hs[l * hidden..(l + 1) * hidden];
+                for n in 0..neurons {
+                    let reference =
+                        (wx.row_dot(n, x).unwrap() + wh.row_dot(n, h).unwrap()) + bias[n];
+                    assert_eq!(out[l * neurons + n].to_bits(), reference.to_bits());
+                }
+            }
+            assert!(
+                gate_preact_batch_into(&wx, &wh, &bias[..2], &xs, &hs, lanes, &mut out).is_err()
+            );
         }
-        let mut short_bias = vec![0.0f32; neurons];
-        assert!(gate_preact_into(&wx, &wh, &bias[..2], &x, &h, &mut short_bias).is_err());
     }
 }

@@ -1,8 +1,9 @@
 //! Dispatch-tier bit-equivalence: every kernel of every backend the
 //! host supports must reproduce the scalar reference **byte for byte**,
 //! across every remainder shape — odd rows, odd cols, odd lanes, the
-//! 4×4 register-tile remainders and dot lengths straddling the 16-wide
-//! chunk boundary.
+//! one-lane case (the single-sequence path, which pairs rows instead of
+//! lanes), the 4×4 register-tile remainders and dot lengths straddling
+//! the 16-wide chunk boundary.
 //!
 //! This suite is what makes `NFM_KERNEL_BACKEND` a pure performance
 //! knob: memo hit/miss sequences, reuse statistics and outputs are all
@@ -12,9 +13,8 @@
 
 use nfm_tensor::backend::KernelBackend;
 use nfm_tensor::kernels::{
-    dot_quad_unchecked_on, dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on,
-    gate_preact_batch_into_on, gate_preact_into_on, matmul_add_into_on, matmul_into_on,
-    matvec_into_on,
+    dot_quad_unchecked_on, dot_unchecked_on, dual_matmul_into_on, gate_preact_batch_into_on,
+    matmul_add_into_on, matmul_into_on,
 };
 use nfm_tensor::rng::DeterministicRng;
 use nfm_tensor::Matrix;
@@ -109,25 +109,41 @@ fn dot_quad_matches_scalar_on_every_backend_and_length() {
 }
 
 #[test]
-fn matvec_matches_scalar_on_odd_rows_and_cols() {
+fn one_lane_matmul_and_matmul_add_match_scalar_on_odd_rows_and_cols() {
+    // One lane is the single-sequence case: rows pair through `dot2`,
+    // an odd row count leaves a single-row tail.
     let mut rng = DeterministicRng::seed_from_u64(103);
     for rows in EDGE_COUNTS {
         for cols in [1usize, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47] {
             let m = random_matrix(&mut rng, rows, cols);
             let x = vecf(&mut rng, cols);
+            let base = vecf(&mut rng, rows);
             let mut reference = vec![0.0f32; rows];
-            matvec_into_on(KernelBackend::Scalar, &m, &x, &mut reference).unwrap();
+            matmul_into_on(KernelBackend::Scalar, &m, &x, 1, &mut reference).unwrap();
+            let mut reference_add = vec![0.0f32; rows];
+            matmul_add_into_on(KernelBackend::Scalar, &m, &x, 1, &base, &mut reference_add)
+                .unwrap();
             for backend in simd_backends() {
                 let mut out = vec![f32::NAN; rows];
-                matvec_into_on(backend, &m, &x, &mut out).unwrap();
-                assert_bits_eq(&out, &reference, &format!("matvec {rows}x{cols} {backend}"));
+                matmul_into_on(backend, &m, &x, 1, &mut out).unwrap();
+                assert_bits_eq(
+                    &out,
+                    &reference,
+                    &format!("matmul 1 lane {rows}x{cols} {backend}"),
+                );
+                matmul_add_into_on(backend, &m, &x, 1, &base, &mut out).unwrap();
+                assert_bits_eq(
+                    &out,
+                    &reference_add,
+                    &format!("matmul_add 1 lane {rows}x{cols} {backend}"),
+                );
             }
         }
     }
 }
 
 #[test]
-fn dual_matvec_matches_scalar_on_odd_shapes() {
+fn one_lane_dual_matmul_matches_scalar_on_odd_shapes() {
     let mut rng = DeterministicRng::seed_from_u64(104);
     for rows in EDGE_COUNTS {
         for (xc, hc) in [
@@ -147,14 +163,15 @@ fn dual_matvec_matches_scalar_on_odd_shapes() {
             let x = vecf(&mut rng, xc);
             let h = vecf(&mut rng, hc);
             let mut reference = vec![0.0f32; rows];
-            dual_matvec_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, &mut reference).unwrap();
+            dual_matmul_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, 1, &mut reference)
+                .unwrap();
             for backend in simd_backends() {
                 let mut out = vec![f32::NAN; rows];
-                dual_matvec_into_on(backend, &wx, &wh, &x, &h, &mut out).unwrap();
+                dual_matmul_into_on(backend, &wx, &wh, &x, &h, 1, &mut out).unwrap();
                 assert_bits_eq(
                     &out,
                     &reference,
-                    &format!("dual_matvec rows {rows} xc {xc} hc {hc} {backend}"),
+                    &format!("dual_matmul 1 lane rows {rows} xc {xc} hc {hc} {backend}"),
                 );
             }
         }
@@ -253,7 +270,7 @@ fn dual_matmul_matches_scalar_across_tile_remainders() {
 }
 
 #[test]
-fn gate_preact_matches_scalar_single_and_batch() {
+fn gate_preact_batch_matches_scalar_on_every_lane_count() {
     let mut rng = DeterministicRng::seed_from_u64(108);
     for rows in [3usize, 5, 8, 9] {
         for lanes in [1usize, 3, 4, 5, 8] {
@@ -284,14 +301,6 @@ fn gate_preact_matches_scalar_single_and_batch() {
                     &out,
                     &reference,
                     &format!("gate_preact_batch rows {rows} lanes {lanes} {backend}"),
-                );
-                let mut single = vec![f32::NAN; rows];
-                gate_preact_into_on(backend, &wx, &wh, &bias, &xs[..xc], &hs[..hc], &mut single)
-                    .unwrap();
-                assert_bits_eq(
-                    &single,
-                    &reference[..rows],
-                    &format!("gate_preact rows {rows} {backend}"),
                 );
             }
         }

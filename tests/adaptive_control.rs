@@ -265,3 +265,57 @@ fn context_stats_reports_every_served_context() {
         }
     }
 }
+
+#[test]
+fn adaptive_evaluator_under_deep_rnn_run_is_pinned() {
+    // `DeepRnn::run` drives one sequence at a time through the adaptive
+    // evaluator. Every run must restart the evaluator's sync cadence
+    // (one sync per `HOIST_BLOCK` timesteps of gate calls): the lengths
+    // below are not multiples of the block, so a cadence carried over
+    // from the previous run would shift every later sync and with it
+    // the θ trajectory. The pinned values are those of the original
+    // single-sequence driver.
+    let net = network(13);
+    let predictor = AdaptivePredictor::for_network(
+        &net,
+        ControllerConfig::new(0.04)
+            .audit_period(4)
+            .initial_theta(0.1)
+            .alpha(0.3)
+            .gains(1.25, 0.6)
+            .min_audits_per_update(4)
+            .seed(11),
+    );
+    let mut evaluator = predictor.evaluator();
+    // FNV-1a over every output bit pattern, in run order.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for (i, len) in [13usize, 21, 9, 30, 17, 26].into_iter().enumerate() {
+        let seq = drifting_sequences(1, len, 70 + i as u64).remove(0);
+        for v in net.run(&seq, &mut evaluator).expect("adaptive run") {
+            for x in v.iter() {
+                digest = (digest ^ u64::from(x.to_bits())).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    evaluator.flush();
+    let stats = evaluator.inner().stats();
+    let thetas: Vec<u32> = predictor
+        .controller()
+        .snapshot()
+        .thresholds()
+        .iter()
+        .map(|t| t.to_bits())
+        .collect();
+    assert_eq!(digest, 12_644_488_391_451_431_637, "output bits");
+    assert_eq!(
+        (stats.evaluations(), stats.reuses(), stats.audited()),
+        (22_272, 11_488, 2_869),
+        "evaluations, reuses, audits"
+    );
+    assert_eq!(predictor.controller().updates(), 18, "θ updates");
+    assert_eq!(
+        thetas,
+        [981_735_206, 1_000_863_279],
+        "final per-layer θ bits"
+    );
+}

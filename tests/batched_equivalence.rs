@@ -1,10 +1,11 @@
 //! Equivalence guarantees for the batched gate-evaluation hot path.
 //!
-//! The contract: `NeuronEvaluator::evaluate_gate` overrides must be
-//! **bit-identical** to the per-neuron fallback (the trait's default
-//! implementation, pinned down by `PerNeuronEvaluator`), for every
-//! built-in evaluator, and the parallel sequence runner must produce
-//! exactly the sequential runner's outputs and statistics.
+//! The contract: the built-in evaluators' batch overrides — which
+//! `DeepRnn::run` drives as a one-lane batch — must be **bit-identical**
+//! to the per-neuron fallback (the trait's default implementations,
+//! pinned down by `PerNeuronEvaluator`), and the parallel sequence
+//! runner must produce exactly the sequential runner's outputs and
+//! statistics.
 
 use nfm::bnn::BinaryNetwork;
 use nfm::memo::{BnnMemoConfig, BnnMemoEvaluator, OracleEvaluator, OracleMemoConfig, ReuseStats};

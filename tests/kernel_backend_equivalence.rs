@@ -22,7 +22,7 @@
 use nfm::memo::{BnnMemoConfig, OracleMemoConfig};
 use nfm::serve::MemoizedRunner;
 use nfm::tensor::backend::KernelBackend;
-use nfm::tensor::kernels::{dot_unchecked_on, dual_matmul_into_on, dual_matvec_into_on};
+use nfm::tensor::kernels::{dot_unchecked_on, dual_matmul_into_on};
 use nfm::tensor::rng::DeterministicRng;
 use nfm::tensor::Matrix;
 use nfm::workloads::{NetworkId, Workload, WorkloadBuilder};
@@ -52,7 +52,7 @@ fn gate_shaped_kernels_are_bit_identical_across_supported_tiers() {
         let hs: Vec<f32> = (0..lanes * hc).map(|_| rng.uniform(-1.0, 1.0)).collect();
 
         let mut single_ref = vec![0.0f32; rows];
-        dual_matvec_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, &mut single_ref).unwrap();
+        dual_matmul_into_on(KernelBackend::Scalar, &wx, &wh, &x, &h, 1, &mut single_ref).unwrap();
         let mut batch_ref = vec![0.0f32; lanes * rows];
         dual_matmul_into_on(
             KernelBackend::Scalar,
@@ -68,7 +68,7 @@ fn gate_shaped_kernels_are_bit_identical_across_supported_tiers() {
 
         for backend in KernelBackend::supported() {
             let mut single = vec![f32::NAN; rows];
-            dual_matvec_into_on(backend, &wx, &wh, &x, &h, &mut single).unwrap();
+            dual_matmul_into_on(backend, &wx, &wh, &x, &h, 1, &mut single).unwrap();
             let mut batch = vec![f32::NAN; lanes * rows];
             dual_matmul_into_on(backend, &wx, &wh, &xs, &hs, lanes, &mut batch).unwrap();
             for (i, (a, e)) in single.iter().zip(single_ref.iter()).enumerate() {
